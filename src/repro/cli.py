@@ -12,8 +12,9 @@ Seven commands cover the paper's workflow end to end:
   statistics, footprints, miss-rate curves);
 * ``tables``   — print the paper's exact exhibits (Tables 1-4, 6-8,
   10, 11 from bundled data);
-* ``diffcore`` — differential-equivalence sweep of one simulator core
-  against the interpreted reference oracle (exit 1 on divergence);
+* ``diffcore`` — differential-equivalence sweep of the compiled
+  kernel against the interpreted reference oracle (exit 1 on
+  divergence, 2 when the kernel is unavailable);
 * ``bench``    — compare fresh ``BENCH_<label>.json`` manifests
   against committed baselines (``check``: perf regression beyond a
   tolerance, or any drift in the deterministic simulator totals,
@@ -71,7 +72,7 @@ def _add_core_arg(parser):
     parser.add_argument(
         "--core", default="batched", choices=SIMULATOR_CORES,
         help="simulator core (default %(default)s: the compiled "
-             "kernel, falling back to the batched Python core); all "
+             "kernel, falling back to the reference loop); all "
              "cores are field-exact equivalent, so this is a speed "
              "knob, never a results knob",
     )
@@ -771,14 +772,17 @@ def cmd_diffcore(args) -> int:
         elif done == total or done % 25 == 0:
             print(f"[{done}/{total}] ok", file=sys.stderr)
 
-    found = differential_sweep(
-        args.pairs, seed=args.seed,
-        core=args.core, oracle=args.oracle,
-        progress=progress if not args.quiet else None,
-    )
+    try:
+        found = differential_sweep(
+            args.pairs, seed=args.seed,
+            progress=progress if not args.quiet else None,
+        )
+    except RuntimeError as exc:
+        print(f"diffcore: {exc}", file=sys.stderr)
+        return 2
     if found:
         print(f"{len(found)} divergence(s) across {args.pairs} "
-              f"randomized pairs ({args.core} vs {args.oracle}):")
+              "randomized pairs (batched-native vs reference):")
         for div in found:
             print(f"  {div.describe()}")
         print("a divergence is either a core bug (fix it) or an "
@@ -786,7 +790,7 @@ def cmd_diffcore(args) -> int:
               "and re-pin the goldens) — never a tolerance")
         return 1
     print(f"{args.pairs} randomized (config, trace) pairs: "
-          f"{args.core} == {args.oracle} field-exact")
+          "batched-native == reference field-exact")
     return 0
 
 
@@ -1137,23 +1141,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "diffcore",
-        help="differential-equivalence sweep between simulator cores",
+        help="differential-equivalence sweep: compiled kernel vs "
+             "the reference oracle",
     )
-    from repro.cpu import SIMULATOR_CORES
-
     p.add_argument("--pairs", "-p", type=int, default=25,
                    help="randomized (config, trace) pairs to compare "
                         "(default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="sweep seed; the pair sequence is a pure "
                         "function of it (default %(default)s)")
-    p.add_argument("--core", default="batched",
-                   choices=SIMULATOR_CORES,
-                   help="core under test (default %(default)s)")
-    p.add_argument("--oracle", default="reference",
-                   choices=SIMULATOR_CORES,
-                   help="core treated as ground truth "
-                        "(default %(default)s)")
     p.add_argument("--quiet", "-q", action="store_true",
                    help="suppress per-pair progress on stderr")
     p.set_defaults(func=cmd_diffcore)

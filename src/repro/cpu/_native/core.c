@@ -1,7 +1,8 @@
-/* Compiled batched simulator core.
+/* Compiled simulator core.
  *
- * A C transcription of the batched structure-of-arrays cycle loop
- * (src/repro/cpu/batched.py) together with every stateful component
+ * A C transcription of the reference model's cycle loop
+ * (Pipeline.run in src/repro/cpu/pipeline.py), run over the decoded
+ * structure-of-arrays trace, together with every stateful component
  * it drives: the cache/TLB hierarchy, main memory, the direction
  * predictors, BTB and return-address stack, and the functional-unit
  * pool.  The contract is *field-exact* equivalence with the Python
@@ -998,7 +999,7 @@ int64_t repro_simulate(
         hierarchy_reset_stats(&hier);
     }
 
-    /* -- the cycle loop (batched.run_batched) --------------------------- */
+    /* -- the cycle loop (Pipeline.run) ----------------------------------- */
     int64_t width = cfg[CFG_WIDTH];
     int64_t lsq_capacity = cfg[CFG_LSQ_ENTRIES];
     int64_t penalty = cfg[CFG_MISPREDICT_PENALTY];
@@ -1329,7 +1330,7 @@ int64_t repro_simulate(
     out[OUT_PRECOMPUTE_HITS] = precompute_hits;
 
     if (status > 0) {
-        /* Watchdog diagnostics (batched._hang_dump). */
+        /* Watchdog diagnostics (Pipeline._hang_dump). */
         out[OUT_ERR_CYCLE] = cycle;
         out[OUT_ERR_COMMITTED] = committed;
         out[OUT_ERR_LAST_COMMIT] = last_commit_cycle;

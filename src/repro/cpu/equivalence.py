@@ -1,10 +1,9 @@
-"""Differential equivalence: the batched core against the oracle.
+"""Differential equivalence: the compiled kernel against the oracle.
 
-The batched core (:mod:`repro.cpu.batched`, optionally compiled —
-:mod:`repro.cpu.native`) must produce **field-exact**
-:class:`~repro.cpu.stats.CoreStats` for every (configuration, trace)
-pair the interpreted reference model handles.  This module is the
-harness that earns that claim:
+The compiled kernel (:mod:`repro.cpu.native`, ``core="batched-native"``)
+must produce **field-exact** :class:`~repro.cpu.stats.CoreStats` for
+every (configuration, trace) pair the interpreted reference model
+handles.  This module is the harness that earns that claim:
 
 * :func:`random_machine` samples configurations across the full
   Plackett-Burman ±1 design space *plus* off-space corners the screen
@@ -15,15 +14,18 @@ harness that earns that claim:
   hand-built corner traces (deep call chains that wrap the RAS,
   misfetch storms, same-address store bursts, precompute-saturated
   streams);
-* :func:`compare_cores` runs one pair on two cores and reports the
-  exact fields that disagree (empty = equivalent);
-* :func:`differential_sweep` drives N randomized pairs and collects
-  every divergence.
+* :func:`differential_sweep` drives N randomized pairs, runs each on
+  both cores and collects every divergence.
+
+The sweep always runs ``batched-native``: ``batched`` would silently
+fall back to the oracle on a host without the kernel and compare the
+reference model with itself, whereas ``batched-native`` raises
+:class:`RuntimeError` naming the loader's reason.
 
 ``repro diffcore`` is the CLI face of the sweep; CI runs it as a
-smoke on every push.  A divergence here means either a batched-core
-bug (fix it) or an intentional timing change (bump
-``SIMULATOR_VERSION`` and re-pin the goldens) — never a tolerance.
+smoke on every push.  A divergence here means either a kernel bug
+(fix it) or an intentional timing change (bump ``SIMULATOR_VERSION``
+and re-pin the goldens) — never a tolerance.
 """
 
 from __future__ import annotations
@@ -189,7 +191,8 @@ def random_trace(rng: random.Random) -> Trace:
 
 @dataclass
 class Divergence:
-    """One (config, trace) pair on which two cores disagreed."""
+    """One (config, trace) pair on which the kernel and the oracle
+    disagreed."""
 
     seed: int
     trace_name: str
@@ -214,39 +217,15 @@ class Divergence:
         return " ".join(parts)
 
 
-def compare_cores(
-    config: MachineConfig,
-    trace: Trace,
-    *,
-    core: str = "batched",
-    oracle: str = "reference",
-    warmup: bool = True,
-    precompute_table=None,
-    prefetch_lines: int = 0,
-) -> List[str]:
-    """Names of the :class:`CoreStats` fields on which ``core``
-    disagrees with ``oracle`` for this pair (empty = equivalent)."""
-    expected = simulate(
-        config, trace, precompute_table=precompute_table,
-        warmup=warmup, prefetch_lines=prefetch_lines, core=oracle,
-    )
-    actual = simulate(
-        config, trace, precompute_table=precompute_table,
-        warmup=warmup, prefetch_lines=prefetch_lines, core=core,
-    )
-    return differing_fields(expected, actual)
-
-
 def differential_sweep(
     pairs: int = 25,
     seed: int = 0,
     *,
-    core: str = "batched",
-    oracle: str = "reference",
     progress: Optional[Callable[[int, int, Optional[Divergence]], None]]
         = None,
 ) -> List[Divergence]:
-    """Run ``pairs`` randomized (config, trace) comparisons.
+    """Run ``pairs`` randomized (config, trace) comparisons of the
+    compiled kernel against the reference oracle.
 
     Deterministic in ``seed``.  Returns every divergence found (an
     empty list is the pass verdict).  ``progress(done, total, div)``
@@ -271,13 +250,14 @@ def differential_sweep(
                     universe, min(len(universe), 32)
                 )
                 table = frozenset(keys)
-        expected = simulate(
-            config, trace, precompute_table=table, warmup=warmup,
-            prefetch_lines=prefetch, core=oracle,
-        )
+        # Kernel first, so a host without one fails before any work.
         actual = simulate(
             config, trace, precompute_table=table, warmup=warmup,
-            prefetch_lines=prefetch, core=core,
+            prefetch_lines=prefetch, core="batched-native",
+        )
+        expected = simulate(
+            config, trace, precompute_table=table, warmup=warmup,
+            prefetch_lines=prefetch, core="reference",
         )
         diff = differing_fields(expected, actual)
         div = None

@@ -1,11 +1,10 @@
-"""Loader for the compiled batched-core kernel.
+"""Loader for the compiled simulator kernel.
 
-The batched core's cycle loop has a C transcription
+The reference model's cycle loop has a C transcription
 (``_native/core.c``) that runs one to two orders of magnitude faster
-than the Python loop while producing **field-exact**
-:class:`~repro.cpu.stats.CoreStats` — the same equivalence contract
-the batched Python core honours against the reference model, enforced
-by :mod:`repro.cpu.equivalence` over all three implementations.
+than the interpreted :class:`~repro.cpu.pipeline.Pipeline` while
+producing **field-exact** :class:`~repro.cpu.stats.CoreStats` — the
+equivalence contract enforced by :mod:`repro.cpu.equivalence`.
 
 This module owns the build-and-load machinery:
 
@@ -15,10 +14,9 @@ This module owns the build-and-load machinery:
   compiler, so editing ``core.c`` can never pick up a stale build;
 * builds are atomic (temp file + ``os.replace``), so concurrent
   worker processes racing to build produce one good artifact;
-* everything degrades gracefully: no toolchain, a failed build, or
-  ``REPRO_NATIVE=0`` simply returns ``None`` and the caller falls
-  back to the batched Python loop.  ``core="batched-native"`` makes
-  the failure loud instead.
+* everything degrades gracefully: no toolchain or a failed build
+  simply returns ``None`` and the caller falls back to the reference
+  loop.  ``core="batched-native"`` makes the failure loud instead.
 
 The compiled kernel is a pure function from (config vector, decoded
 trace arrays) to a counter vector: no global state, no threads, no
@@ -41,7 +39,7 @@ import numpy as np
 
 from repro.guard.errors import SimulationHang
 
-from .isa import BranchKind, OpClass
+from .isa import COMPUTE_CLASSES, NO_VALUE, BranchKind, OpClass
 from .params import MachineConfig
 from .stats import CacheSnapshot, CoreStats
 
@@ -77,6 +75,7 @@ _PREDICTOR_KINDS = {
     "2level": 0, "bimodal": 1, "taken": 2, "tournament": 3, "perfect": 4,
 }
 _REPLACEMENT = {"lru": 0, "fifo": 1, "random": 2}
+_COMPUTE_LIST = sorted(int(c) for c in COMPUTE_CLASSES)
 
 #: Cache/TLB RNG seed (Cache.__init__ default rng_seed).
 _RNG_SEED = 12345
@@ -179,10 +178,6 @@ def _load():
     global _lib, _failure  # repro: noqa[REP004] -- once-per-process memo of the build probe
     if _lib is not None:
         return _lib or None
-    if os.environ.get("REPRO_NATIVE") == "0":  # repro: noqa[REP006] -- explicit opt-out knob; all cores are bit-identical so it cannot change results
-        _lib = False
-        _failure = "disabled via REPRO_NATIVE=0"
-        return None
     try:
         compiler = _toolchain()
         if compiler is None:
@@ -303,8 +298,18 @@ def _stats_from(out: np.ndarray) -> CoreStats:
     return stats
 
 
-def _hang_dump_from(trace, n: int, out: np.ndarray,
-                    pre_flags) -> dict:
+def _precompute_flags(trace, table) -> Optional[np.ndarray]:
+    """Vectorized precomputation-table membership, one ``uint8`` flag
+    per instruction (None when the enhancement is off)."""
+    if table is None:
+        return None
+    keys = trace.redundancy_key
+    hit = (np.isin(trace.op, _COMPUTE_LIST) & (keys != NO_VALUE)
+           & np.isin(keys, np.fromiter(table, np.int64, len(table))))
+    return hit.astype(np.uint8)
+
+
+def _hang_dump_from(trace, n: int, out: np.ndarray) -> dict:
     """Reassemble Pipeline._hang_dump from the kernel's error fields."""
     dump = {
         "trace": trace.name,
@@ -348,13 +353,12 @@ def simulate_native(
 ) -> Optional[CoreStats]:
     """Run one trace on the compiled kernel.
 
-    Returns ``None`` when the kernel is unavailable (no toolchain,
-    failed build, or ``REPRO_NATIVE=0``) so the caller can fall back;
-    with ``required=True`` that becomes a loud :class:`RuntimeError`.
-    Raises exactly the exceptions the Python cores raise — same
+    Returns ``None`` when the kernel is unavailable (no toolchain or
+    a failed build) so the caller can fall back; with
+    ``required=True`` that becomes a loud :class:`RuntimeError`.
+    Raises exactly the exceptions the reference model raises — same
     messages, same :class:`SimulationHang` dump.
     """
-    from .batched import _precompute_flags
     from .pipeline import SimulationError
 
     lib = _load()
@@ -376,8 +380,7 @@ def simulate_native(
         max_cycles = 400 * n + 100_000
 
     decoded = trace.decoded()
-    flags = _precompute_flags(trace, precompute_table)
-    pre = None if flags is None else np.asarray(flags, np.uint8)
+    pre = _precompute_flags(trace, precompute_table)
     cfg = _config_vector(config, warmup, prefetch_lines, max_cycles,
                          hang_cycles)
     op_unit, op_latency, op_interval = _op_tables(config)
@@ -410,7 +413,7 @@ def simulate_native(
             f"{trace.name}: no instruction retired for {gap} cycles "
             f"({committed}/{n} committed at cycle {cycle}) — "
             "livelocked simulation",
-            dump=_hang_dump_from(trace, n, out, pre),
+            dump=_hang_dump_from(trace, n, out),
         )
     if status != 0:
         raise RuntimeError(

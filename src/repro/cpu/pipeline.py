@@ -649,18 +649,17 @@ class Pipeline:
             ))
 
 
-#: The selectable simulator cores.  ``"batched"`` (the default) is the
-#: structure-of-arrays core of :mod:`repro.cpu.batched`, running the
-#: compiled kernel (:mod:`repro.cpu.native`) when a C toolchain is
-#: available and the portable batched Python loop otherwise;
-#: ``"batched-native"`` / ``"batched-python"`` force one or the other;
-#: ``"reference"`` is the interpreted per-instruction model above —
-#: the equivalence oracle.  All cores produce bit-identical
-#: :class:`CoreStats` (enforced by :mod:`repro.cpu.equivalence`), so
-#: the choice never enters a result-cache key beyond the normalized
-#: family (see :func:`repro.exec.cache.task_key`).
-SIMULATOR_CORES = ("batched", "batched-native", "batched-python",
-                   "reference")
+#: The selectable simulator cores.  ``"batched"`` (the default) runs
+#: the compiled kernel (:mod:`repro.cpu.native`) over the decoded
+#: trace arrays when a C toolchain is available and the reference loop
+#: otherwise; ``"batched-native"`` insists on the kernel and fails
+#: loudly without it; ``"reference"`` is the interpreted
+#: per-instruction model above — the equivalence oracle.  All cores
+#: produce bit-identical :class:`CoreStats` (enforced by
+#: :mod:`repro.cpu.equivalence`), so the choice never enters a
+#: result-cache key beyond the normalized family (see
+#: :func:`repro.exec.cache.task_key`).
+SIMULATOR_CORES = ("batched", "batched-native", "reference")
 
 
 def simulate(
@@ -699,7 +698,7 @@ def simulate(
             f"unknown simulator core {core!r}; pick one of "
             f"{', '.join(SIMULATOR_CORES)}"
         )
-    if core in ("batched", "batched-native"):
+    if core != "reference":
         from .native import simulate_native
 
         stats = simulate_native(
@@ -709,19 +708,11 @@ def simulate(
         )
         if stats is not None:
             return stats
-        # No toolchain (or disabled): fall through to the batched
-        # Python loop, which is exactly equivalent.
+        # No toolchain: the reference loop is exactly equivalent.
     pipeline = Pipeline(config, precompute_table, prefetch_lines)
     if warmup:
         pipeline.warm(trace)
-    if core == "reference":
-        return pipeline.run(
-            trace, max_cycles,
-            hang_cycles=hang_cycles, max_instructions=max_instructions,
-        )
-    from .batched import run_batched
-
-    return run_batched(
-        pipeline, trace, max_cycles,
+    return pipeline.run(
+        trace, max_cycles,
         hang_cycles=hang_cycles, max_instructions=max_instructions,
     )

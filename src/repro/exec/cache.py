@@ -116,15 +116,14 @@ def canonical_blob(payload) -> bytes:
 def core_family(core: str) -> str:
     """The cache-key family of a simulator core.
 
-    The batched implementations (``batched``, ``batched-native``,
-    ``batched-python``) are interchangeable by contract — field-exact
-    equivalent, enforced by :mod:`repro.cpu.equivalence` — so they
-    share one family and therefore one set of cache entries: a grid
-    run with the compiled kernel reuses results measured by the Python
-    fallback and vice versa.  The interpreted ``reference`` oracle is
-    its own family: it is the arbiter the batched cores are checked
-    *against*, so its measurements must never be satisfied from (or
-    leak into) batched-core entries — otherwise a batched-core bug
+    ``batched`` and ``batched-native`` are interchangeable by
+    contract — field-exact equivalent, enforced by
+    :mod:`repro.cpu.equivalence` — so they share one family and
+    therefore one set of cache entries, including entries ``batched``
+    measured on the reference loop on a host without the compiled
+    kernel.  The ``reference`` oracle is its own family: it is the
+    arbiter the kernel is checked *against*, so its measurements must
+    never be satisfied from kernel entries — otherwise a kernel bug
     could silently poison the oracle's results through the cache, and
     a differential run would compare a core against itself.
     """

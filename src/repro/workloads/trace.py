@@ -88,7 +88,7 @@ class Trace:
         self._decoded = None
 
     def decoded(self) -> "DecodedTrace":
-        """The batched simulator core's static decode of this trace.
+        """The compiled simulator kernel's static decode of this trace.
 
         Computed lazily on first use and memoised (instances are
         treated as immutable); dropped when pickling.  See
@@ -230,7 +230,7 @@ class Trace:
 class DecodedTrace:
     """Static dependence decode of one :class:`Trace`.
 
-    The batched simulator core replaces the reference model's dynamic
+    The compiled simulator kernel replaces the reference model's dynamic
     ``reg_producer`` / ``store_for_addr`` dictionaries with arrays
     computed once per trace:
 

@@ -26,15 +26,15 @@ def _analyzer():
 
 
 class TestSelfCleanliness:
-    def test_src_repro_reports_nothing(self):
-        result = _analyzer().analyze_paths([SRC], root=SRC.parent)
+    def test_src_repro_reports_nothing(self, src_repro_result):
+        result = src_repro_result
         assert result.clean, "\n".join(
             f.render() for f in result.findings
         )
 
-    def test_suppressions_exist_and_carry_reasons(self):
+    def test_suppressions_exist_and_carry_reasons(self, src_repro_result):
         """Every active noqa in the tree names its rules and reason."""
-        result = _analyzer().analyze_paths([SRC], root=SRC.parent)
+        result = src_repro_result
         # The tree ships with known, documented suppressions (the
         # fault injector's env hook, worker-process flags, ...).
         assert len(result.suppressions) >= 5

@@ -11,15 +11,10 @@ stale suppressions, enforced here so a refactor that obsoletes a
 noqa fails CI until the comment goes too.
 """
 
-from pathlib import Path
-
-import repro
-from repro.analysis import Analyzer, default_checkers, load_config
+from repro.analysis import Analyzer, default_checkers
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import UNUSED_NOQA_RULE, fix_unused_noqa
 from repro.analysis.cli import EXIT_CLEAN, EXIT_FINDINGS, main
-
-SRC = Path(repro.__file__).resolve().parent
 
 
 def _analyze(tmp_path, source, config=None):
@@ -167,12 +162,9 @@ class TestFixer:
 
 
 class TestTreeAudit:
-    def test_src_repro_has_zero_stale_suppressions(self):
+    def test_src_repro_has_zero_stale_suppressions(self, src_repro_result):
         """Every noqa in the shipped tree still earns its keep."""
-        analyzer = Analyzer(
-            default_checkers(), load_config(start=SRC)
-        )
-        result = analyzer.analyze_paths([SRC], root=SRC.parent)
+        result = src_repro_result
         assert result.unused_noqa == [], [
             f"{e.path}:{e.line} {e.codes or 'bare'}"
             for e in result.unused_noqa

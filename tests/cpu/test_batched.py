@@ -1,11 +1,14 @@
-"""Tests for the batched structure-of-arrays core (repro.cpu.batched).
+"""Tests for the batched core (``core="batched"``).
 
 The contract under test is *field-exact equivalence* with the
 interpreted reference model — same CoreStats, same watchdog behaviour,
-same diagnostics — plus the static trace decode it runs on.
+same diagnostics — on both paths ``batched`` can take: the compiled
+kernel, and the reference loop it falls back to on a host without a
+C toolchain.  Plus the static trace decode the kernel runs on.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.cpu import (
     MachineConfig,
     OpClass,
     SimulationError,
+    native,
     simulate,
 )
 from repro.cpu.equivalence import differential_sweep
@@ -21,15 +25,16 @@ from repro.guard.errors import SimulationHang
 from repro.workloads import benchmark_trace
 from repro.workloads.trace import Trace
 
+#: The loader's reason when the kernel is stubbed away.
+NO_KERNEL = "no C compiler (cc/gcc/clang) on PATH"
+
 
 def _stats_dict(stats):
     return dataclasses.asdict(stats)
 
 
 def _native_available() -> bool:
-    from repro.cpu.native import _load
-
-    return _load() is not None
+    return native._load() is not None
 
 
 needs_native = pytest.mark.skipif(
@@ -37,14 +42,32 @@ needs_native = pytest.mark.skipif(
     reason="no C toolchain / native kernel build failed",
 )
 
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Simulate a host whose kernel build failed."""
+    monkeypatch.setattr(native, "_lib", False)
+    monkeypatch.setattr(native, "_failure", NO_KERNEL)
+
+
+#: Indirect parameters of the ``core`` fixture.
 CORES = [
-    "batched-python",
     pytest.param("batched-native", marks=needs_native),
+    "fallback",
 ]
 
 
+@pytest.fixture
+def core(request):
+    """The kernel, or ``batched`` on a host without one."""
+    if request.param == "fallback":
+        request.getfixturevalue("no_kernel")
+        return "batched"
+    return request.param
+
+
 class TestEquivalence:
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORES, indirect=True)
     @pytest.mark.parametrize("bench", ["gzip", "mcf", "mesa"])
     def test_field_exact_on_golden_traces(self, bench, core):
         trace = benchmark_trace(bench, 2000)
@@ -53,11 +76,19 @@ class TestEquivalence:
         bat = simulate(MachineConfig(), trace, warmup=True, core=core)
         assert _stats_dict(ref) == _stats_dict(bat)
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_differential_sweep_clean(self, core):
+    @needs_native
+    def test_differential_sweep_clean(self):
         """A small randomized sweep (config corners x trace corners)
         finds zero divergences; CI runs a bigger one."""
-        assert differential_sweep(6, seed=1234, core=core) == []
+        assert differential_sweep(6, seed=1234) == []
+
+    @pytest.mark.usefixtures("no_kernel")
+    def test_batched_native_fails_loudly_without_kernel(self):
+        trace = benchmark_trace("gzip", 200)
+        with pytest.raises(RuntimeError, match=re.escape(NO_KERNEL)):
+            simulate(MachineConfig(), trace, core="batched-native")
+        with pytest.raises(RuntimeError, match=re.escape(NO_KERNEL)):
+            differential_sweep(1)
 
     def test_unknown_core_rejected(self):
         trace = benchmark_trace("gzip", 200)
@@ -107,15 +138,15 @@ class TestDecode:
 
 
 class TestWatchdogParity:
-    """Both cores trip every watchdog at the same cycle with the same
-    message and the same machine-state dump (ISSUE 6 satellite)."""
+    """Every path trips every watchdog at the same cycle with the same
+    message and the same machine-state dump."""
 
     def _hang(self, core, trace, config, **kwargs):
         with pytest.raises(SimulationHang) as err:
             simulate(config, trace, core=core, **kwargs)
         return str(err.value), err.value.dump
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORES, indirect=True)
     def test_hang_diagnostics_identical_cold_fetch(self, core):
         trace = benchmark_trace("gzip", 800)
         ref = self._hang("reference", trace, MachineConfig(),
@@ -123,7 +154,7 @@ class TestWatchdogParity:
         bat = self._hang(core, trace, MachineConfig(), hang_cycles=1)
         assert ref == bat
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORES, indirect=True)
     def test_hang_diagnostics_identical_with_populated_rob(self, core):
         instrs = [Instruction(pc=0x100 + 4 * i, op=OpClass.IDIV,
                               dst=1, src1=1) for i in range(12)]
@@ -137,7 +168,7 @@ class TestWatchdogParity:
         assert ref[1]["rob_head"]["seq"] == 0
         assert ref[1]["rob_occupancy"] == 12
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORES, indirect=True)
     def test_cycle_budget_identical(self, core):
         trace = benchmark_trace("gzip", 800)
         messages = []
@@ -148,7 +179,7 @@ class TestWatchdogParity:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORES, indirect=True)
     def test_instruction_budget_identical(self, core):
         trace = benchmark_trace("gzip", 800)
         messages = []

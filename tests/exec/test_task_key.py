@@ -112,7 +112,7 @@ class TestTaskKeyIntegration:
 
 class TestCoreFamily:
     """Only the normalized core *family* enters a cache key: the
-    equivalent batched variants share entries, while the reference
+    equivalent batched names share entries, while the reference
     oracle's measurements never mix with the cores it arbitrates."""
 
     def test_batched_variants_share_keys(self):
@@ -124,7 +124,7 @@ class TestCoreFamily:
         keys = {
             task_key(SimTask(config=MachineConfig(), trace=trace,
                              core=core))
-            for core in ("batched", "batched-native", "batched-python")
+            for core in ("batched", "batched-native")
         }
         assert len(keys) == 1
 
@@ -144,5 +144,5 @@ class TestCoreFamily:
         from repro.exec import core_family
 
         assert core_family("reference") == "reference"
-        for core in ("batched", "batched-native", "batched-python"):
+        for core in ("batched", "batched-native"):
             assert core_family(core) == "batched"
