@@ -21,7 +21,7 @@ Artifact integrity (REP1xx)
       ``json.dumps``, ``repr``, or ``str`` of unordered containers.
     * **REP105** — artifact-root / sealed-payload writes must route
       through the sanctioned write seam
-      (:mod:`repro.guard.fsfault`); even a correct open-coded
+      (:mod:`repro.guard.faults`); even a correct open-coded
       temp+replace dance is invisible to fault injection and the
       degradation contracts.
 
@@ -123,7 +123,7 @@ def _pred_canonical(resolved: str) -> bool:
                                "task_key")
 
 
-#: The sanctioned write-seam helpers of :mod:`repro.guard.fsfault`.
+#: The sanctioned write-seam helpers of :mod:`repro.guard.faults`.
 _SEAM_CALLS = ("publish_bytes", "publish_text", "vfs_write",
                "vfs_fsync", "vfs_replace")
 
@@ -373,8 +373,8 @@ class ArtifactWriteOutsideSeam(SealedWriteNotAtomic):
     """REP105: artifact writes that bypass the sanctioned write seam.
 
     REP101 asks "is this write atomic?"; REP105 asks the stricter
-    question this PR's fault model requires: "does this write go
-    through :mod:`repro.guard.fsfault`?"  An open-coded
+    question the fault model requires: "does this write go
+    through :mod:`repro.guard.faults`?"  An open-coded
     ``mkstemp``+``os.replace`` dance can be perfectly atomic and
     still be a hole in the robustness story — the injector cannot
     schedule ENOSPC/EIO/torn-write faults on it, so its degradation
@@ -390,7 +390,7 @@ class ArtifactWriteOutsideSeam(SealedWriteNotAtomic):
     rule = "REP105"
     name = "artifact-write-outside-seam"
     description = ("sealed/artifact-root writes bypassing the "
-                   "repro.guard.fsfault seam")
+                   "repro.guard.faults seam")
     severity = Severity.ERROR
     interests = (ast.Call,)
 
@@ -412,7 +412,7 @@ class ArtifactWriteOutsideSeam(SealedWriteNotAtomic):
             node, self.rule, self.severity,
             f"{what} bypasses the sanctioned write seam; fault "
             "injection cannot reach it and its degradation contract "
-            "is unexercised — route it through repro.guard.fsfault "
+            "is unexercised — route it through repro.guard.faults "
             "(publish_bytes/publish_text or the vfs_* primitives)",
         )
 

@@ -158,14 +158,6 @@ def _add_exec_args(parser):
              "from the spool down to at most N files (default: keep "
              "everything; a restarted broker adopts them for free)",
     )
-    parser.add_argument(
-        "--fsfault", default=None, metavar="SPEC",
-        help="inject deterministic I/O faults at the write seam: "
-             "comma-separated action:index[:count] items with actions "
-             "enospc, eio, torn, fsync, rename and count optionally "
-             "'always' (e.g. 'enospc:5:10,rename:2'); equivalent to "
-             "REPRO_FSFAULT_SPEC",
-    )
 
 
 class _ExecOptions:
@@ -191,6 +183,21 @@ class _ExecOptions:
         )
 
 
+def _fault_injector():
+    """The active fault injector, parsing ``REPRO_FAULT_SPEC`` now.
+
+    Grid and worker commands call this at start-up so a malformed spec
+    stops them (exit 2) before any simulation runs.
+    """
+    from repro.guard import faults
+
+    try:
+        return faults.active()
+    except ValueError as exc:
+        print(f"bad {faults.ENV_VAR}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _exec_options(args):
     """Engine options for run()/run_grid() from parsed CLI args."""
     import os
@@ -201,15 +208,7 @@ def _exec_options(args):
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     if args.retry < 1:
         raise SystemExit(f"--retry must be >= 1, got {args.retry}")
-    if getattr(args, "fsfault", None):
-        from repro.guard import fsfault
-
-        try:
-            fsfault.install(
-                fsfault.FsFaultInjector.from_spec(args.fsfault)
-            )
-        except ValueError as exc:
-            raise SystemExit(f"bad --fsfault spec: {exc}")
+    _fault_injector()
     try:
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
     except OSError as exc:
@@ -395,8 +394,6 @@ class _Obs:
                 "dist": getattr(args, "dist", None),
                 "stream": self.stream_dir,
                 "profile": self.profile_dir,
-                "fsfault": getattr(args, "fsfault", None)
-                or os.environ.get("REPRO_FSFAULT_SPEC"),  # repro: noqa[REP006] -- recorded verbatim for provenance, never branched on
             }
             workload = {
                 "benchmarks": args.benchmarks,
@@ -417,6 +414,7 @@ class _Obs:
                 artifacts["results"] = os.path.join(
                     args.run_dir, "results.json"
                 )
+            injector = _fault_injector()
             self.manifest = RunManifest(
                 command=command,
                 fingerprint=config_fingerprint({
@@ -426,7 +424,7 @@ class _Obs:
                 }),
                 settings=settings,
                 workload=workload,
-                fault_spec=os.environ.get("REPRO_FAULT_SPEC"),  # repro: noqa[REP006] -- recorded verbatim in the manifest for provenance, never branched on
+                fault_spec=injector.spec if injector else None,
                 artifacts=artifacts,
             )
 
@@ -831,15 +829,7 @@ def cmd_verify(args) -> int:
 def cmd_worker(args) -> int:
     from repro.dist.worker import DistWorker
 
-    if args.fsfault:
-        from repro.guard import fsfault
-
-        try:
-            fsfault.install(
-                fsfault.FsFaultInjector.from_spec(args.fsfault)
-            )
-        except ValueError as exc:
-            raise SystemExit(f"bad --fsfault spec: {exc}")
+    _fault_injector()
     worker = DistWorker(
         args.spool,
         worker_id=args.worker_id,
@@ -1240,10 +1230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-stream", action="store_true",
                    help="skip the worker's event-log lane "
                         "(stream/<id>.events.jsonl under the spool)")
-    p.add_argument("--fsfault", default=None, metavar="SPEC",
-                   help="inject deterministic I/O faults in this "
-                        "worker's write seam (same grammar as the "
-                        "experiment commands' --fsfault)")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(

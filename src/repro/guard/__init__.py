@@ -24,10 +24,17 @@ makes that trust checkable at four layers:
   journal, cache and effect tables, recomputing PB effects and rank
   sums from the journaled raw results.
 
+:mod:`repro.guard.faults` is what the chaos suites fail runs with: one
+deterministic schedule of task faults (raise, delay, kill, interrupt,
+stall), fired by the engine and the dist worker, and I/O faults
+(ENOSPC, EIO, EROFS, torn writes, fsync and rename failures), fired
+at the sanctioned write seam every durable writer goes through.
+
 The submodules this package eagerly re-exports (``errors``, ``seal``,
-``audit``) are stdlib-only, so the simulator and the execution engine
-can depend on them without import cycles; the heavyweight offline
-verifier stays behind an explicit ``from repro.guard import verify``.
+``audit``, ``faults``) are stdlib-only, so the simulator and the
+execution engine can depend on them without import cycles; the
+heavyweight offline verifier stays behind an explicit
+``from repro.guard import verify``.
 """
 
 from .audit import (
@@ -48,12 +55,16 @@ from .errors import (
     StatsInvalid,
     TraceCorrupt,
 )
+from .faults import Fault, FaultInjector, InjectedFault
 from .seal import MAGIC, check, read_header, seal
 
 __all__ = [
     "AuditMismatch",
     "AuditPolicy",
+    "Fault",
+    "FaultInjector",
     "GuardViolation",
+    "InjectedFault",
     "MAGIC",
     "SealCorrupt",
     "SealError",

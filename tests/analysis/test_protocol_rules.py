@@ -47,7 +47,7 @@ class TestArtifactIntegrityGateBites:
         publishes torn entries; REP101 (not atomic) and REP105 (not
         through the seam) must both name the write."""
         old = (
-            "            fsfault.publish_bytes(self._file(key), blob)\n"
+            "            faults.publish_bytes(self._file(key), blob)\n"
         )
         new = (
             "            self._file(key).write_bytes(blob)\n"
@@ -68,7 +68,7 @@ class TestArtifactIntegrityGateBites:
         write breaks every artifact the spool publishes (the sealed
         payload arrives via the blob parameter — caller propagation
         must still see it)."""
-        old = "        fsfault.publish_bytes(path, blob, retries=2)\n"
+        old = "        faults.publish_bytes(path, blob, retries=2)\n"
         new = "        path.write_bytes(blob)\n"
         source, mutated, line = _mutate("dist/spool.py", old, new)
         assert "REP101" not in _rules(_lint(source, "dist/spool.py"))
@@ -80,8 +80,8 @@ class TestArtifactIntegrityGateBites:
     def test_rep105_open_coded_atomic_dance(self):
         """An open-coded mkstemp-style temp+replace is *atomic* —
         REP101 passes — but invisible to fault injection; REP105
-        alone must flag it and demand the fsfault seam."""
-        old = "        fsfault.publish_bytes(path, blob, retries=2)\n"
+        alone must flag it and demand the faults seam."""
+        old = "        faults.publish_bytes(path, blob, retries=2)\n"
         new = (
             "        tmp = path.parent / "
             "f\"{path.name}.tmp-{os.getpid()}\"\n"
@@ -148,10 +148,10 @@ class TestConcurrencyGateBites:
         """A sleep inside the journal's exclusive flock window stalls
         every concurrent writer; REP202 must name the sleep."""
         old = (
-            "                    fsfault.vfs_write(self._handle, data)\n"
+            "                    faults.vfs_write(self._handle, data)\n"
         )
         new = (
-            "                    fsfault.vfs_write(self._handle, data)\n"
+            "                    faults.vfs_write(self._handle, data)\n"
             "                    time.sleep(0.01)\n"
         )
         source, mutated, line = _mutate("exec/journal.py", old, new)

@@ -1,7 +1,7 @@
 """Chaos acceptance for the I/O fault layer: the 88-run screen
 survives scheduled disk faults.
 
-Three end-to-end scenarios against the full 88-configuration
+Four end-to-end scenarios against the full 88-configuration
 Plackett–Burman screen, each proving one leg of the degradation
 contract through the real CLI:
 
@@ -17,8 +17,12 @@ contract through the real CLI:
   empty journal.  A clean rerun on the same run directory completes
   byte-identically: faults cleared, nothing poisoned.
 * **distributed worker under fault**: one worker runs its whole life
-  with ``--fsfault`` transient windows; its spool publishes ride the
-  retry budget and the screen completes byte-identically.
+  under ``REPRO_FAULT_SPEC`` transient windows; its spool publishes
+  ride the retry budget and the screen completes byte-identically.
+* **mixed channels** (``raise:12:2,rename:0:3``): one spec carries a
+  task fault and an I/O window; retries absorb the task failures, the
+  window degrades the cache as above, and the sealed results are
+  byte-identical.
 
 The byte-identity oracle is the same quiet single-host screen used
 by ``tests/dist/test_chaos_acceptance.py``.
@@ -51,18 +55,21 @@ OUTAGE_SPEC = "enospc:0:always"
 #: narrower than the spool's publish retry budget.
 WORKER_SPEC = "enospc:5:2,rename:3:2"
 
+#: Task 12 fails twice (retried away) inside the transient window.
+MIXED_SPEC = "raise:12:2," + TRANSIENT_SPEC
 
-def _env(fsfault_spec=None):
+
+def _env(fault_spec=None):
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                  if p]
     )
-    if fsfault_spec is not None:
-        env["REPRO_FSFAULT_SPEC"] = fsfault_spec
+    if fault_spec is not None:
+        env["REPRO_FAULT_SPEC"] = fault_spec
     else:
-        env.pop("REPRO_FSFAULT_SPEC", None)
+        env.pop("REPRO_FAULT_SPEC", None)
     return env
 
 
@@ -85,6 +92,19 @@ def faulted_run(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("fsfault-transient")
     proc = subprocess.run(
         _screen(run_dir), env=_env(TRANSIENT_SPEC), timeout=300,
+        capture_output=True, text=True,
+    )
+    return {"run_dir": run_dir, "rc": proc.returncode,
+            "stderr": proc.stderr}
+
+
+@pytest.fixture(scope="module")
+def mixed_run(tmp_path_factory):
+    """One screen under a task fault and an I/O window at once."""
+    run_dir = tmp_path_factory.mktemp("fsfault-mixed")
+    proc = subprocess.run(
+        _screen(run_dir, "--retry", "3", "--on-error", "retry"),
+        env=_env(MIXED_SPEC), timeout=300,
         capture_output=True, text=True,
     )
     return {"run_dir": run_dir, "rc": proc.returncode,
@@ -121,15 +141,14 @@ def outage_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dist_faulted_run(tmp_path_factory):
-    """Broker in-process, one dist worker living under ``--fsfault``."""
+    """Broker in-process, one dist worker under ``REPRO_FAULT_SPEC``."""
     run_dir = tmp_path_factory.mktemp("fsfault-dist")
     spool = run_dir / "spool"
     worker = subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", str(spool),
          "--worker-id", "fsfault-w0", "--poll", "0.02",
-         "--heartbeat-interval", "0.05", "--max-idle", "120",
-         "--fsfault", WORKER_SPEC],
-        env=_env(), stdout=subprocess.DEVNULL,
+         "--heartbeat-interval", "0.05", "--max-idle", "120"],
+        env=_env(WORKER_SPEC), stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
     try:
@@ -169,7 +188,7 @@ class TestTransientWindow:
     def test_fault_spec_recorded_in_manifest(self, faulted_run):
         doc = json.loads(
             (faulted_run["run_dir"] / "manifest.json").read_text())
-        assert doc["run"]["settings"]["fsfault"] == TRANSIENT_SPEC
+        assert doc["run"]["fault_spec"] == TRANSIENT_SPEC
 
     def test_results_byte_identical(self, faulted_run, reference_run):
         assert (faulted_run["run_dir"] / "results.json").read_bytes() \
@@ -177,6 +196,24 @@ class TestTransientWindow:
 
     def test_verify_passes(self, faulted_run):
         assert main(["verify", str(faulted_run["run_dir"])]) == 0
+
+
+class TestMixedChannels:
+    def test_run_completed_in_one_go(self, mixed_run):
+        assert mixed_run["rc"] == 0, mixed_run["stderr"]
+        assert "cache writes failing" in mixed_run["stderr"]
+
+    def test_fault_spec_recorded_in_manifest(self, mixed_run):
+        doc = json.loads(
+            (mixed_run["run_dir"] / "manifest.json").read_text())
+        assert doc["run"]["fault_spec"] == MIXED_SPEC
+
+    def test_results_byte_identical(self, mixed_run, reference_run):
+        assert (mixed_run["run_dir"] / "results.json").read_bytes() \
+            == (reference_run / "results.json").read_bytes()
+
+    def test_verify_passes(self, mixed_run):
+        assert main(["verify", str(mixed_run["run_dir"])]) == 0
 
 
 class TestPersistentOutage:

@@ -66,6 +66,16 @@ class TestWriter:
         assert opened[0].attrs == {"index": 3}
         assert closed[0].attrs == {"ok": True}
 
+    def test_attrs_may_reuse_record_field_names(self, tmp_path):
+        # The engine's retry instants carry kind="error"; the record's
+        # own kind must neither collide with nor swallow it.
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            writer.mark("retry", "fault", kind="error", attempt=1)
+        instant = [r for r in scan_stream(path).records
+                   if r.kind == "instant"][0]
+        assert instant.attrs == {"kind": "error", "attempt": 1}
+
     def test_counter_streams_deltas(self, tmp_path):
         path = lane_path(tmp_path)
         with EventWriter(path, lane="main", version="v") as writer:

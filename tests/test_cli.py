@@ -125,6 +125,76 @@ class TestExecFlags:
             main(["screen", "--resume"])
 
 
+class TestFaultSpec:
+    """REPRO_FAULT_SPEC: parsed at start-up, recorded verbatim."""
+
+    SCREEN = ["screen", "-b", "gzip", "-n", "300",
+              "--retry", "3", "--on-error", "retry"]
+
+    @pytest.fixture
+    def fault_env(self, monkeypatch):
+        from repro.guard import faults
+
+        def arm(spec):
+            faults.uninstall()
+            monkeypatch.setattr(faults, "_ENV_CHECKED", False)
+            if spec is None:
+                monkeypatch.delenv(faults.ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(faults.ENV_VAR, spec)
+
+        yield arm
+        faults.uninstall()
+
+    @pytest.mark.parametrize("command", ["screen", "classify",
+                                         "enhance", "worker"])
+    def test_bad_spec_exits_2_before_simulating(
+            self, command, fault_env, monkeypatch, capsys, tmp_path):
+        from repro.core import PBExperiment
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bad spec must stop the command")
+
+        monkeypatch.setattr(PBExperiment, "run", no_run)
+        argv = [command, "-b", "gzip", "-n", "200"]
+        if command == "worker":
+            argv = [command, str(tmp_path / "spool"), "--max-idle", "0"]
+        fault_env("kill:5,raise:-1")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "bad REPRO_FAULT_SPEC: bad fault spec item 'raise:-1'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "spool").exists()
+
+    @pytest.mark.slow
+    def test_mixed_spec_recorded_verbatim_same_fingerprint(
+            self, fault_env, tmp_path, capsys):
+        import json
+
+        from repro.guard import faults
+
+        spec = "raise:12:2,rename:0:1"   # rename 0: the manifest
+        fault_env(spec)
+        assert main(self.SCREEN + [
+            "--manifest", str(tmp_path / "faulted.json")]) == 0
+        faulted_out = capsys.readouterr().out
+        assert faults.active().fired == [
+            ("task", 12, 0, "raise"), ("task", 12, 1, "raise"),
+            ("rename", 0, None, "rename"),
+        ]
+        fault_env(None)
+        assert main(self.SCREEN + [
+            "--manifest", str(tmp_path / "quiet.json")]) == 0
+        assert capsys.readouterr().out == faulted_out
+        faulted = json.loads((tmp_path / "faulted.json").read_text())
+        quiet = json.loads((tmp_path / "quiet.json").read_text())
+        assert faulted["run"]["fault_spec"] == spec
+        assert quiet["run"]["fault_spec"] is None
+        assert faulted["run"]["fingerprint"] \
+            == quiet["run"]["fingerprint"]
+
+
 class TestInterruptHandling:
     def _interrupt_run(self, monkeypatch):
         from repro.core import PBExperiment
