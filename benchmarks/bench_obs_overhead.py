@@ -4,7 +4,7 @@ The event log (:mod:`repro.obs.stream`) promises to be *strictly
 observational* — and cheap enough to leave armed by default on every
 ``--run-dir`` run.  This module is where the cost claim is measured
 and enforced: the same grid runs bare and with the full default
-streaming surface armed (tracer + metrics registry + simulator
+streaming surface armed (spans + metrics registry + simulator
 counters fanned out to an :class:`~repro.obs.EventWriter` lane), and
 the streamed median may exceed the bare median by at most
 :data:`OVERHEAD_CEILING` plus a small absolute slack for scheduler

@@ -332,9 +332,12 @@ class _Obs:
     Arms a :class:`repro.obs.Telemetry` when any of the flags is
     present, and owns writing the artifacts when the command finishes
     (including an interrupted finish, so a killed run still leaves its
-    partial trace, a sealed event stream with every open span closed,
-    and a manifest saying so).  With no flags every method degrades to
-    a no-op and the command pays nothing.
+    partial trace, a sealed event stream, and a manifest saying so).
+    Spans are recorded only into the event stream: ``--trace`` renders
+    this process's generation of the lane, and without ``--stream``
+    the lane lives in a temporary directory removed after rendering.
+    With no flags every method degrades to a no-op and the command
+    pays nothing.
     """
 
     def __init__(self, args, command):
@@ -347,6 +350,7 @@ class _Obs:
         self.profile_dir = getattr(args, "profile", None)
         self.telemetry = None
         self.manifest = None
+        self._scratch_lane = None
         self._finished = False
         if not (self.trace_path or self.metrics_path
                 or self.manifest_path or self.stream_dir
@@ -362,23 +366,27 @@ class _Obs:
             config_fingerprint,
         )
 
+        lane_dir = self.stream_dir
+        if self.trace_path and not lane_dir:
+            import tempfile
+
+            lane_dir = self._scratch_lane = tempfile.mkdtemp(
+                prefix="repro-trace-")
         stream = None
-        if self.stream_dir:
+        if lane_dir:
             stream = EventWriter(
-                Path(self.stream_dir) / "main.events.jsonl",
-                lane="main",
+                Path(lane_dir) / "main.events.jsonl", lane="main",
             )
         profiler = (PhaseProfiler(self.profile_dir)
                     if self.profile_dir else None)
-        # Spans only matter if a trace or stream is written, but the
-        # manifest wants the final metrics snapshot, so the registry
-        # is armed with it too (simulator counters included — that is
-        # the whole point of asking for metrics).
+        # The manifest wants the final metrics snapshot, so the
+        # registry is armed with it too (simulator counters included —
+        # that is the whole point of asking for metrics).
         self.telemetry = Telemetry.armed(
-            trace=self.trace_path is not None or stream is not None,
+            trace=stream is not None,
             metrics=self.metrics_path is not None
             or self.manifest_path is not None
-            or stream is not None,
+            or self.stream_dir is not None,
             simulator_counters=True,
             stream=stream, profiler=profiler,
         )
@@ -436,21 +444,21 @@ class _Obs:
     def finish(self, status="completed"):
         """Write every requested artifact; called exactly once.
 
-        The first action is ``telemetry.close(status)``: every span
-        still open (an interrupt mid-grid) is finished — which, with
-        a stream armed, appends its ``span-close`` record — and the
+        The first action is ``telemetry.close(status)``: the
         event-log generation is sealed with a ``stream-close``
-        carrying the status.  Only then are the post-hoc artifacts
-        (trace, metrics, manifest) written.
+        carrying the status (spans an interrupt left open are closed
+        by the reader at that instant, marked ``interrupted``).  Only
+        then are the post-hoc artifacts (trace, metrics, manifest)
+        written.
         """
         if self.telemetry is None or self._finished:
             return
         self._finished = True
-        from repro.obs import write_chrome_trace, write_metrics_jsonl
+        from repro.obs import write_metrics_jsonl
 
         self.telemetry.close(status)
         if self.trace_path:
-            write_chrome_trace(self.telemetry.tracer, self.trace_path)
+            self._write_trace()
         if self.metrics_path:
             write_metrics_jsonl(
                 self.telemetry.metrics, self.metrics_path
@@ -465,6 +473,22 @@ class _Obs:
                 status=status, metrics=self.telemetry.snapshot(),
             )
             self.manifest.write(self.manifest_path)
+
+    def _write_trace(self):
+        """Render this process's lane generation to ``--trace``."""
+        import shutil
+
+        from repro.obs.export import publish, trace_json
+        from repro.obs.stream import scan_stream
+
+        lane = self.telemetry.stream.path
+        try:
+            scans = [scan_stream(lane).latest()] if lane.exists() \
+                else []
+            publish(self.trace_path, trace_json(scans))
+        finally:
+            if self._scratch_lane is not None:
+                shutil.rmtree(self._scratch_lane, ignore_errors=True)
 
 
 class _CellProgress:
@@ -886,7 +910,6 @@ def cmd_top(args) -> int:
 
 
 def cmd_obs_export(args) -> int:
-    import json
     import os
 
     if not os.path.isdir(args.root):
@@ -896,30 +919,19 @@ def cmd_obs_export(args) -> int:
         from repro.obs.fleet import fleet_snapshot
 
         snap = fleet_snapshot(args.root)
-        synthesized = {
-            name: {"type": "counter", "value": value}
-            for name, value in snap.counters.items()
-        }
-        for name, value in snap.gauges.items():
-            synthesized[name] = {"type": "gauge", "value": value}
+        registry = snap.metrics
         for key in ("done", "total"):
-            synthesized[f"progress.{key}"] = {
-                "type": "gauge", "value": snap.progress.get(key, 0),
-            }
+            registry.set_gauge(f"progress.{key}",
+                               snap.progress.get(key, 0))
         states = {}
         for view in snap.workers:
             states[view.state] = states.get(view.state, 0) + 1
         for state, count in states.items():
-            synthesized[f"fleet.workers.{state}"] = {
-                "type": "gauge", "value": count,
-            }
-        text = prometheus_text(synthesized)
+            registry.set_gauge(f"fleet.workers.{state}", count)
+        text = prometheus_text(registry.snapshot())
     else:
-        from repro.obs.stream import (
-            find_stream_lanes,
-            scan_stream,
-            trace_from_streams,
-        )
+        from repro.obs.export import trace_json
+        from repro.obs.stream import find_stream_lanes, scan_stream
 
         lanes = find_stream_lanes(args.root)
         if not lanes:
@@ -927,14 +939,11 @@ def cmd_obs_export(args) -> int:
                 f"no event-log lanes (*.events.jsonl) under "
                 f"{args.root}"
             )
-        scans = [scan_stream(path) for path in lanes]
-        text = json.dumps(trace_from_streams(scans), sort_keys=True)
+        text = trace_json([scan_stream(path) for path in lanes])
     if args.out:
-        from pathlib import Path
+        from repro.obs.export import publish
 
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        out = publish(args.out, text)
         print(f"wrote {args.format} export to {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -264,29 +264,33 @@ class _Observer:
     with every call guarded.
 
     Observation must never abort execution: a user ``progress``
-    callback that raises, or a broken tracer/metrics hook, is reported
+    callback that raises, or a broken span/metrics hook, is reported
     once as a :class:`RuntimeWarning` and silenced thereafter — the
     grid carries on either way.  All methods are no-ops when the
     corresponding sink is absent, so an un-instrumented run pays a
     single attribute check per event.
 
-    The telemetry argument is duck-typed (``tracer`` / ``metrics`` /
+    The telemetry argument is duck-typed (``spans`` / ``metrics`` /
     ``simulator_counters`` / ``stream`` attributes) so this module
-    needs no import of :mod:`repro.obs`.  With a ``stream`` lane
-    attached, progress (done/total) is additionally appended to the
-    event log — the ETA input the fleet view reads; spans and metrics
-    reach the stream through their own sinks.
+    needs no import of :mod:`repro.obs`.  Spans and instants go
+    straight into the ``spans`` lane (an
+    :class:`~repro.obs.stream.EventWriter`); with a ``stream`` lane
+    attached, progress (done/total) is appended too — the ETA input
+    the fleet view reads; metrics reach the stream through the
+    registry's sink.
     """
 
     def __init__(self, progress, telemetry):
         self._progress = progress
-        self.tracer = getattr(telemetry, "tracer", None)
+        self.spans = getattr(telemetry, "spans", None)
         self.metrics = getattr(telemetry, "metrics", None)
         self.stream = getattr(telemetry, "stream", None)
         self.simulator_counters = (
             self.metrics is not None
             and bool(getattr(telemetry, "simulator_counters", False))
         )
+        #: Span ids opened here and not yet closed.
+        self._open: Set[int] = set()
         self._warned = False
 
     def _guard(self, call, *args, **kwargs):
@@ -312,31 +316,26 @@ class _Observer:
 
     # -- spans ------------------------------------------------------
 
-    def begin(self, name, category, **attrs):
-        if self.tracer is None:
+    def begin(self, name, category, **attrs) -> Optional[int]:
+        """Open a span (``track=`` / ``asynchronous=`` pass through);
+        returns its id, or ``None`` when spans are not recorded."""
+        if self.spans is None:
             return None
-        return self._guard(self.tracer.begin, name, category, **attrs)
+        sid = self._guard(self.spans.open_span, name, category, **attrs)
+        if sid is not None:
+            self._open.add(sid)
+        return sid
 
-    def begin_async(self, name, category, **attrs):
-        if self.tracer is None:
-            return None
-        return self._guard(
-            self.tracer.begin, name, category, asynchronous=True,
-            **attrs,
-        )
-
-    def finish(self, span, **attrs) -> None:
-        if self.tracer is not None and span is not None:
-            self._guard(self.tracer.finish, span, **attrs)
-
-    def finish_open(self, span, **attrs) -> None:
-        """Finish ``span`` only if nothing finished it already."""
-        if span is not None and getattr(span, "end", True) is None:
-            self.finish(span, **attrs)
+    def finish(self, sid, **attrs) -> None:
+        """Close span ``sid`` with its final attributes; a span that
+        is already closed (or was never opened) is left alone."""
+        if sid in self._open:
+            self._open.discard(sid)
+            self._guard(self.spans.close_span, sid, **attrs)
 
     def event(self, name, category, **attrs) -> None:
-        if self.tracer is not None:
-            self._guard(self.tracer.event, name, category, **attrs)
+        if self.spans is not None:
+            self._guard(self.spans.mark, name, category, **attrs)
 
     # -- metrics ----------------------------------------------------
 
@@ -447,7 +446,7 @@ def run_grid(
         unhealthy and the remaining cells run in-process (default
         ``2 * jobs + 2``).  Deliberate timeout kills do not count.
     telemetry:
-        Optional :class:`repro.obs.Telemetry`.  Its tracer receives
+        Optional :class:`repro.obs.Telemetry`.  Its span lane receives
         the grid/preload phase spans, one ``run`` span per simulated
         attempt, async ``queue`` spans for pool wait time, and instant
         events for restores, retries, timeouts and worker deaths; its
@@ -778,8 +777,9 @@ def _run_pool(
     run_started: Dict[int, float] = {}
 
     def _enqueue_span(i: int) -> None:
-        queue_spans[i] = obs.begin_async(
-            "queue", "task", index=i, attempt=attempt_number(i),
+        queue_spans[i] = obs.begin(
+            "queue", "task", asynchronous=True,
+            index=i, attempt=attempt_number(i),
         )
 
     for i in todo:
@@ -825,13 +825,13 @@ def _run_pool(
                 if worker.current is None and todo:
                     i = todo.popleft()
                     if i in resolved:
-                        obs.finish_open(queue_spans.pop(i, None),
-                                        outcome="superseded")
+                        obs.finish(queue_spans.pop(i, None),
+                                   outcome="superseded")
                         continue
                     attempt = attempt_number(i)
                     worker.dispatch(i, attempt, timeout)
-                    obs.finish_open(queue_spans.pop(i, None),
-                                    outcome="dispatched")
+                    obs.finish(queue_spans.pop(i, None),
+                               outcome="dispatched")
                     run_spans[i] = obs.begin(
                         "run", "task", track=wid + 1,
                         index=i, attempt=attempt,
@@ -855,8 +855,8 @@ def _run_pool(
                     worker.current = None
                 if i not in resolved:
                     if ok:
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="ok")
+                        obs.finish(run_spans.pop(i, None),
+                                   outcome="ok")
                         started = run_started.pop(i, None)
                         if started is not None:
                             obs.observe("task.seconds",
@@ -865,8 +865,8 @@ def _run_pool(
                         store(i, payload)
                     else:
                         error_type, message = payload
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="error", error=error_type)
+                        obs.finish(run_spans.pop(i, None),
+                                   outcome="error", error=error_type)
                         run_started.pop(i, None)
                         if task_failed(i, "error", error_type, message):
                             todo.append(i)
@@ -884,8 +884,8 @@ def _run_pool(
                         worker.process.kill()
                         worker.process.join(timeout=1.0)
                         del workers[wid]
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="timeout")
+                        obs.finish(run_spans.pop(i, None),
+                                   outcome="timeout")
                         run_started.pop(i, None)
                         if i not in resolved and task_failed(
                             i, "timeout", "",
@@ -905,8 +905,8 @@ def _run_pool(
                     if current is not None:
                         i = current[0]
                         code = worker.process.exitcode
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="worker-died")
+                        obs.finish(run_spans.pop(i, None),
+                                   outcome="worker-died")
                         run_started.pop(i, None)
                         if i not in resolved and task_failed(
                             i, "worker-died",
@@ -932,9 +932,9 @@ def _run_pool(
         # Close any spans left open by degradation or interruption;
         # a healthy pool has already popped every entry.
         for span in queue_spans.values():
-            obs.finish_open(span, outcome="abandoned")
+            obs.finish(span, outcome="abandoned")
         for span in run_spans.values():
-            obs.finish_open(span, outcome="abandoned")
+            obs.finish(span, outcome="abandoned")
         for worker in workers.values():
             worker.stop()
         results_q.close()

@@ -6,15 +6,15 @@ worker pools with caching, retries and fault injection — and until
 this package, its only window was a bare ``(done, total)`` progress
 callback.  :mod:`repro.obs` adds the measurement layer:
 
-* :mod:`repro.obs.span` — a lightweight span tracer recording the full
-  task lifecycle (queue wait, worker run, retries, timeouts,
-  cache/journal restores) plus coarse pipeline phases;
+* :mod:`repro.obs.stream` — the crash-durable event log and the one
+  span path: sealed-line JSONL appended record by record by the
+  engine, broker and every dist worker — spans (the full task
+  lifecycle: queue wait, worker run, retries, timeouts, cache/journal
+  restores, plus coarse pipeline phases), instants and metric
+  samples — torn-tail tolerant, and rendered into Chrome traces even
+  for interrupted runs;
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
   histograms with a deterministic snapshot API;
-* :mod:`repro.obs.stream` — the crash-durable event log: sealed-line
-  JSONL appended record by record by the engine, broker and every
-  dist worker, torn-tail tolerant, reconstructable into traces even
-  for interrupted runs;
 * :mod:`repro.obs.fleet` — cross-worker aggregation of spool liveness
   and event lanes into one snapshot (the ``repro top`` data model);
 * :mod:`repro.obs.profile` — opt-in per-phase cProfile capture with
@@ -39,18 +39,16 @@ schema.
 
 from .clock import elapsed, monotonic, wall_time
 from .export import (
-    chrome_trace,
     prometheus_text,
     render_metrics_table,
     scrub_trace,
-    write_chrome_trace,
+    trace_json,
     write_metrics_jsonl,
 )
 from .fleet import FleetSnapshot, WorkerView, fleet_snapshot
 from .manifest import RunManifest, config_fingerprint, load_manifest
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import PhaseProfiler
-from .span import Span, Tracer
 from .stream import (
     EVENT_SCHEMA,
     EventRecord,
@@ -58,6 +56,7 @@ from .stream import (
     StreamScan,
     find_stream_lanes,
     scan_stream,
+    span_ident,
     trace_from_streams,
 )
 from .telemetry import Telemetry, phase_of
@@ -73,12 +72,9 @@ __all__ = [
     "MetricsRegistry",
     "PhaseProfiler",
     "RunManifest",
-    "Span",
     "StreamScan",
     "Telemetry",
-    "Tracer",
     "WorkerView",
-    "chrome_trace",
     "config_fingerprint",
     "elapsed",
     "find_stream_lanes",
@@ -90,8 +86,9 @@ __all__ = [
     "render_metrics_table",
     "scan_stream",
     "scrub_trace",
+    "span_ident",
     "trace_from_streams",
+    "trace_json",
     "wall_time",
-    "write_chrome_trace",
     "write_metrics_jsonl",
 ]

@@ -28,8 +28,9 @@ __all__ = ["elapsed", "monotonic", "wall_time"]
 def wall_time() -> float:
     """Seconds since the epoch, for human-facing timestamps.
 
-    Used once per tracer/manifest to anchor relative span times to
-    civil time; never used for durations (see :func:`elapsed`).
+    Used once per stream generation/manifest to anchor relative
+    times to civil time; never used for durations (see
+    :func:`elapsed`).
     """
     return time.time()  # repro: noqa[REP002] -- the tree's single sanctioned wall-clock read; annotates telemetry artifacts only and never enters results, cache keys, or journals
 

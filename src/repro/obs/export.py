@@ -1,20 +1,25 @@
-"""Exporters: Chrome trace JSON, metrics JSONL, text summary tables.
+"""Exporters: Chrome trace JSON, metrics JSONL, Prometheus, tables.
 
 Three audiences, three formats:
 
-* **Perfetto / ``about:tracing``** — :func:`chrome_trace` renders a
-  :class:`~repro.obs.span.Tracer` as Chrome trace-event JSON
-  (``{"traceEvents": [...]}``).  Sync spans become complete (``"X"``)
-  events on named tracks (track 0 is the grid supervisor, track 1+N is
-  worker lane N); async spans (queue waits) become ``"b"``/``"e"``
-  pairs keyed by their deterministic identity; instant events become
-  ``"i"`` marks.  Load the file via "Open trace file" in
-  https://ui.perfetto.dev or ``chrome://tracing``.
+* **Perfetto / ``about:tracing``** — :func:`trace_json` serializes
+  the Chrome trace-event document
+  :func:`~repro.obs.stream.trace_from_streams` renders from event-log
+  lanes; ``--trace`` and ``repro obs export --format perfetto`` both
+  go through it, so the two are byte-equal for the same lane.  Load
+  the file via "Open trace file" in https://ui.perfetto.dev or
+  ``chrome://tracing``.
 * **Tools** — :func:`write_metrics_jsonl` dumps a
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot as one JSON
-  object per line, sorted by metric name, alongside the run's journal.
+  object per line, sorted by metric name, alongside the run's journal;
+  :func:`prometheus_text` renders the same snapshot shape in the
+  Prometheus text exposition format.
 * **Humans** — :func:`render_metrics_table` renders the same snapshot
   as an aligned text table through :func:`repro.reporting.format_table`.
+
+Every file goes out through :func:`publish` — the atomic,
+fault-seamed write of :func:`repro.guard.faults.publish_text` — so a
+crash never leaves a torn artifact behind.
 
 :func:`scrub_trace` is the determinism half: it reduces a trace to its
 *structure* (names, categories, attributes — no timestamps, no track
@@ -27,107 +32,41 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.guard import faults
 
 from .metrics import MetricsRegistry
-from .span import Span, Tracer
+from .stream import StreamScan, trace_from_streams
 
 __all__ = [
-    "chrome_trace",
     "prometheus_text",
+    "publish",
     "render_metrics_table",
     "scrub_trace",
-    "write_chrome_trace",
+    "trace_json",
     "write_metrics_jsonl",
 ]
 
-#: Synthetic process id for all trace events (one run = one process).
-_PID = 1
 
-
-def _microseconds(seconds: float) -> int:
-    return int(round(seconds * 1e6))
-
-
-def _args(span: Span) -> Dict[str, object]:
-    return {k: span.attributes[k] for k in sorted(span.attributes)}
-
-
-def chrome_trace(tracer: Tracer) -> Dict[str, object]:
-    """The tracer's spans as a Chrome trace-event document.
-
-    Still-open spans (an interrupted run) are closed first and marked
-    ``interrupted=True`` rather than dropped, so a truncated trace
-    still accounts for the time spent.
-    """
-    tracer.close_open_spans()
-    events: List[Dict[str, object]] = []
-    tracks = {0}
-    for span in tracer.spans():
-        tracks.add(span.track)
-        common = {
-            "name": span.name,
-            "cat": span.category,
-            "pid": _PID,
-            "tid": span.track,
-            "ts": _microseconds(span.start),
-        }
-        if span.instant:
-            events.append({**common, "ph": "i", "s": "t",
-                           "args": _args(span)})
-        elif span.asynchronous:
-            ident = span.ident()
-            events.append({**common, "ph": "b", "id": ident,
-                           "args": _args(span)})
-            events.append({
-                **common, "ph": "e", "id": ident,
-                "ts": _microseconds(span.end),
-            })
-        else:
-            events.append({
-                **common, "ph": "X",
-                "dur": _microseconds(span.duration),
-                "args": _args(span),
-            })
-    metadata = [{
-        "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
-        "args": {"name": "repro"},
-    }]
-    for track in sorted(tracks):
-        label = "supervisor" if track == 0 else f"worker-{track - 1}"
-        metadata.append({
-            "name": "thread_name", "ph": "M", "pid": _PID,
-            "tid": track, "args": {"name": label},
-        })
-    return {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "producer": "repro.obs",
-            "epoch_wall_time": tracer.epoch_wall,
-        },
-    }
-
-
-def write_chrome_trace(tracer: Tracer,
-                       path: Union[str, os.PathLike]) -> Path:
-    """Write :func:`chrome_trace` to ``path``; returns the path."""
+def publish(path: Union[str, os.PathLike], text: str) -> Path:
+    """Atomically write ``text`` to ``path`` (parents created), with
+    the artifact writers' retry budget; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    faults.publish_text(
-        path, json.dumps(chrome_trace(tracer), sort_keys=True),
-        retries=2,
-    )
-    return path
+    return faults.publish_text(path, text, retries=2)
+
+
+def trace_json(scans: Sequence[StreamScan]) -> str:
+    """The lanes rendered as Chrome trace-event JSON text."""
+    return json.dumps(trace_from_streams(scans), sort_keys=True)
 
 
 #: Event fields that legitimately differ between two identical runs:
 #: every timestamp, plus track/lane assignment (which worker happened
 #: to pick a task up).  Async ``id`` fields are *kept*: they derive
-#: from span content (:meth:`repro.obs.span.Span.ident`), so they must
-#: match across runs.
+#: from span content (:func:`repro.obs.stream.span_ident`), so they
+#: must match across runs.
 _VOLATILE_FIELDS = ("ts", "dur", "tid", "pid")
 
 
@@ -160,15 +99,11 @@ def scrub_trace(trace: Dict[str, object]) -> List[str]:
 def write_metrics_jsonl(registry: MetricsRegistry,
                         path: Union[str, os.PathLike]) -> Path:
     """One JSON line per metric, sorted by name; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         json.dumps({"name": name, **fields}, sort_keys=True)
         for name, fields in registry.snapshot().items()
     ]
-    faults.publish_text(path, "".join(line + "\n" for line in lines),
-                         retries=2)
-    return path
+    return publish(path, "".join(line + "\n" for line in lines))
 
 
 def _prom_name(name: str) -> str:
@@ -196,10 +131,9 @@ def prometheus_text(snapshot: Dict[str, Dict[str, object]],
     """A metrics snapshot in the Prometheus text exposition format.
 
     ``snapshot`` is the :meth:`MetricsRegistry.snapshot` shape
-    (``name -> {"type": ..., ...fields}``) — which the fleet
-    aggregator also synthesizes from its counter/gauge roll-ups, so
-    one exporter serves live registries and reconstructed streams
-    alike.  Dotted names become underscored with a ``repro_`` prefix;
+    (``name -> {"type": ..., ...fields}``) — the fleet aggregator
+    replays event lanes into a registry of its own, so one exporter
+    serves live registries and reconstructed streams alike.  Dotted names become underscored with a ``repro_`` prefix;
     histograms expand to ``_count`` / ``_sum`` / ``_min`` / ``_max``
     series; gauges also export their ``_peak``.  Optional ``labels``
     are attached to every sample (e.g. ``{"run": "..."}``).

@@ -34,11 +34,14 @@ files, lease deadlines and stream timestamps all use the clock shared
 by every process on the host (:func:`repro.obs.clock.monotonic`), so
 no wall-clock arithmetic enters the state machine.
 
-Counter roll-ups sum, per lane, the deltas of the *latest writer
-generation only* (counters reset at each ``stream-open``): a
-restarted broker re-counts the cells it restores from the journal, so
-summing across its generations would double-count — the latest
-generation is the authoritative tally for that lane.
+Metric roll-ups replay, per lane, the counter deltas, gauge samples
+and histogram observations of the *latest writer generation only*
+(counters reset at each ``stream-open``) through one
+:class:`~repro.obs.metrics.MetricsRegistry`: a restarted broker
+re-counts the cells it restores from the journal, so summing across
+its generations would double-count — the latest generation is the
+authoritative tally for that lane.  ``repro top`` and the Prometheus
+export both read that one registry.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import clock
+from .metrics import MetricsRegistry
 from .stream import StreamScan, find_stream_lanes, scan_stream
 
 __all__ = ["FleetSnapshot", "WorkerView", "fleet_snapshot"]
@@ -93,8 +97,8 @@ class FleetSnapshot:
 
     root: Path
     workers: List[WorkerView]
-    counters: Dict[str, int]
-    gauges: Dict[str, object]
+    #: Every lane's latest generation replayed into one registry.
+    metrics: MetricsRegistry
     #: ``{"done": N, "total": M}`` from the supervisor's progress
     #: records, or counter/manifest fallbacks; empty when unknown.
     progress: Dict[str, int]
@@ -104,6 +108,20 @@ class FleetSnapshot:
     lanes: Dict[str, Dict[str, object]]
     #: Wall-clock stamp of snapshot creation (annotation only).
     generated: float
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Counter name -> fleet-wide value."""
+        return {name: instrument.value
+                for name, instrument in self.metrics.items()
+                if instrument.kind == "counter"}
+
+    @property
+    def gauges(self) -> Dict[str, object]:
+        """Gauge name -> latest value."""
+        return {name: instrument.value
+                for name, instrument in self.metrics.items()
+                if instrument.kind == "gauge"}
 
     @property
     def complete(self) -> bool:
@@ -195,22 +213,29 @@ def _find_spool(root: Path) -> Optional[Path]:
     return None
 
 
-def _latest_generation_rollup(scan: StreamScan):
-    """Counters / gauges / progress from the lane's last generation."""
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, object] = {}
+def _replay_latest_generation(scan: StreamScan,
+                              registry: MetricsRegistry
+                              ) -> Dict[str, int]:
+    """Replay the lane's last generation's metric records into
+    ``registry``; returns its latest progress record (or ``{}``)."""
     progress: Dict[str, int] = {}
-    generations = scan.generations()
-    for record in (generations[-1] if generations else ()):
-        if record.kind == "counter":
-            delta = int(record.attrs.get("delta", 0))
-            counters[record.name] = counters.get(record.name, 0) + delta
-        elif record.kind == "gauge":
-            gauges[record.name] = record.attrs.get("value")
-        elif record.kind == "progress":
-            progress = {"done": int(record.attrs.get("done", 0)),
-                        "total": int(record.attrs.get("total", 0))}
-    return counters, gauges, progress
+    for record in scan.latest().records:
+        try:
+            if record.kind == "counter":
+                registry.count(record.name,
+                               int(record.attrs.get("delta", 0)))
+            elif record.kind == "gauge":
+                registry.set_gauge(record.name,
+                                   record.attrs.get("value"))
+            elif record.kind == "observe":
+                registry.observe(record.name,
+                                 record.attrs.get("value"))
+            elif record.kind == "progress":
+                progress = {"done": int(record.attrs.get("done", 0)),
+                            "total": int(record.attrs.get("total", 0))}
+        except (TypeError, ValueError):
+            continue  # a sample the registry cannot hold: skip it
+    return progress
 
 
 def _task_tallies(scan: StreamScan):
@@ -284,19 +309,14 @@ def fleet_snapshot(
         if manifest:
             spool_total = int(manifest.get("n_tasks", 0)) or None
 
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, object] = {}
+    metrics = MetricsRegistry()
     progress: Dict[str, int] = {}
     lane_info: Dict[str, Dict[str, object]] = {}
     durations: List[float] = []
     worker_tallies: Dict[str, Tuple[int, int]] = {}
 
     for lane, scan in sorted(scans.items()):
-        lane_counters, lane_gauges, lane_progress = \
-            _latest_generation_rollup(scan)
-        for name, value in lane_counters.items():
-            counters[name] = counters.get(name, 0) + value
-        gauges.update(lane_gauges)
+        lane_progress = _replay_latest_generation(scan, metrics)
         if lane == "main" and lane_progress:
             progress = lane_progress
         done, failed, lane_durations = _task_tallies(scan)
@@ -311,11 +331,9 @@ def fleet_snapshot(
             "damage": len(scan.damage),
         }
 
-    if not progress:
-        done = counters.get("tasks.completed")
-        total = spool_total
-        if done is not None and total:
-            progress = {"done": done, "total": total}
+    if not progress and spool_total and "tasks.completed" in metrics:
+        progress = {"done": metrics.counter("tasks.completed").value,
+                    "total": spool_total}
 
     workers: List[WorkerView] = []
     names = sorted(set(beats) | set(leases) - {""}
@@ -367,7 +385,7 @@ def fleet_snapshot(
             eta = 0.0
 
     return FleetSnapshot(
-        root=root, workers=workers, counters=counters,
-        gauges=gauges, progress=progress, eta_seconds=eta,
+        root=root, workers=workers, metrics=metrics,
+        progress=progress, eta_seconds=eta,
         lanes=lane_info, generated=clock.wall_time(),
     )

@@ -1,12 +1,9 @@
-"""Crash-durable structured event log: the live telemetry stream.
+"""Crash-durable structured event log: the telemetry stream.
 
-:mod:`repro.obs` (PR 4) collects spans and metrics in memory and
-exports them at clean process exit — which means a three-hour
-distributed screen is invisible while it runs and a crashed broker
-leaves no telemetry at all.  This module is the incremental half: an
-**append-only, sealed-line JSONL event log** written record by record
-as the run executes, so the on-disk stream is always at most one torn
-line behind reality.
+Every span, instant and metric a run records is appended here, record
+by record, as the run executes — the on-disk stream is always at most
+one torn line behind reality, and it is the single source every trace,
+``repro top`` view and Prometheus export is rendered from.
 
 Format: one JSON object per line, journal-style (the discipline of
 :mod:`repro.exec.journal`)::
@@ -38,20 +35,26 @@ Format: one JSON object per line, journal-style (the discipline of
 
 Event kinds (:data:`EVENT_KINDS`): ``stream-open`` / ``stream-close``
 (writer lifecycle), ``span-open`` / ``span-close`` (paired by ``sid``
-within a generation), ``instant``, ``counter`` (deltas), ``gauge``
-(emitted on value change only), ``observe`` (histogram samples), and
-``progress`` (tasks done/total — the ETA inputs).  The schema is
-versioned (:data:`EVENT_SCHEMA`); a line under another version is
-named ``schema-drift`` damage rather than misread.
+within a generation; the close carries only the attributes known at
+the end, merged over the open's by readers), ``instant``, ``counter``
+(deltas), ``gauge`` (emitted on value change only), ``observe``
+(histogram samples), and ``progress`` (tasks done/total — the ETA
+inputs).  Span-open and instant records may carry two optional
+top-level fields, written only when not the default so a serial run's
+lane does not grow: ``track`` (the display lane — 0 is the lane's own
+supervisor thread, ``1 + N`` is pool worker N) and ``async: true``
+(an overlapping span such as a queue wait).  The schema is versioned
+(:data:`EVENT_SCHEMA`); a line under another version is named
+``schema-drift`` damage rather than misread.
 
 The stream is **strictly observational**, like everything in this
 package: the writer never raises into the run (a failing disk warns
 once and disables the lane), record identity derives from run
 content, and the 88-run screen is bit-identical with streaming armed
-or bare.  :func:`trace_from_streams` reconstructs a Chrome/Perfetto
-trace from the log alone — including for interrupted runs, where
-dangling ``span-open`` records are closed at their lane's last
-observed instant and marked ``interrupted``.
+or bare.  :func:`trace_from_streams` renders a Chrome/Perfetto trace
+from the log alone — including for interrupted runs, where dangling
+``span-open`` records are closed at their lane's last observed
+instant and marked ``interrupted``.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 try:
     import fcntl
@@ -81,6 +84,7 @@ __all__ = [
     "StreamScan",
     "find_stream_lanes",
     "scan_stream",
+    "span_ident",
     "trace_from_streams",
 ]
 
@@ -117,14 +121,12 @@ def _line_sha(record: Dict[str, object]) -> str:
 class EventWriter:
     """One lane of the event log: append-only, flushed per record.
 
-    Doubles as the *sink* the in-memory telemetry objects fan out to:
-    a :class:`~repro.obs.span.Tracer` built with ``sink=writer``
-    streams every span open/close and instant as it happens, and a
-    :class:`~repro.obs.metrics.MetricsRegistry` with ``sink=writer``
-    streams counter deltas, gauge changes and histogram observations
-    — so the engine and broker stream with no engine changes at all.
-    Dist workers hold no tracer and call :meth:`open_span` /
-    :meth:`close_span` / :meth:`mark` directly.
+    Doubles as the *sink* a :class:`~repro.obs.metrics.MetricsRegistry`
+    built with ``sink=writer`` fans out to (counter deltas, gauge
+    changes, histogram observations).  Spans and instants are written
+    directly: :meth:`open_span` / :meth:`close_span` / :meth:`mark`
+    serve the engine, the dist broker, :meth:`Telemetry.phase
+    <repro.obs.telemetry.Telemetry.phase>` and dist workers alike.
 
     Emission is guarded end to end: any I/O or encoding failure warns
     once, disables the lane, and the run continues — recording is
@@ -157,7 +159,6 @@ class EventWriter:
         self._handle = None
         self._seq = 0
         self._next_sid = 0
-        self._sids: Dict[int, int] = {}
         self._gauges: Dict[str, object] = {}
         self._disabled = False
         self._warned = False
@@ -206,12 +207,15 @@ class EventWriter:
         )
 
     def emit(self, kind: str, name: str = "", category: str = "", /,
-             sid: Optional[int] = None, **attrs) -> None:
+             sid: Optional[int] = None, track: int = 0,
+             asynchronous: bool = False, **attrs) -> None:
         """Append one record (guarded; never raises into the run).
 
         ``kind``/``name``/``category`` are positional-only, so event
         attributes may reuse those names (a retry instant carries
-        ``kind="error"``).
+        ``kind="error"``).  ``track`` and ``asynchronous`` become the
+        top-level ``track`` / ``async`` fields, written only when they
+        differ from the default.
         """
         if self._disabled:
             return
@@ -229,6 +233,10 @@ class EventWriter:
                 record["cat"] = category
             if sid is not None:
                 record["sid"] = sid
+            if track:
+                record["track"] = int(track)
+            if asynchronous:
+                record["async"] = True
             record["sha"] = _line_sha(record)
             line = _canonical(record).decode("utf-8") + "\n"
             # Append under an exclusive flock, the journal discipline:
@@ -254,46 +262,30 @@ class EventWriter:
         except Exception as exc:  # observational sink: any failure disables the lane instead of aborting the run
             self._disable(exc)
 
-    # -- direct span / instant emission (dist workers) --------------
+    # -- spans and instants ------------------------------------------
 
-    def open_span(self, name: str, category: str = "phase",
+    def open_span(self, name: str, category: str = "phase", *,
+                  track: int = 0, asynchronous: bool = False,
                   **attrs) -> int:
         """Emit a ``span-open``; returns the ``sid`` to close it with."""
         self._next_sid += 1
         sid = self._next_sid
-        self.emit("span-open", name, category, sid=sid, **attrs)
+        self.emit("span-open", name, category, sid=sid, track=track,
+                  asynchronous=asynchronous, **attrs)
         return sid
 
     def close_span(self, sid: int, **attrs) -> None:
-        """Emit the matching ``span-close`` for an :meth:`open_span`."""
+        """Emit the matching ``span-close``; ``attrs`` are only the
+        attributes learned at the end (readers merge them over the
+        open's)."""
         self.emit("span-close", sid=sid, **attrs)
 
-    def mark(self, name: str, category: str = "event", **attrs) -> None:
+    def mark(self, name: str, category: str = "event", *,
+             track: int = 0, **attrs) -> None:
         """Emit one instant event."""
-        self.emit("instant", name, category, **attrs)
+        self.emit("instant", name, category, track=track, **attrs)
 
-    # -- the telemetry sink protocol --------------------------------
-
-    def span_open(self, span) -> None:
-        """Tracer sink: a span began."""
-        self._next_sid += 1
-        self._sids[id(span)] = self._next_sid
-        self.emit("span-open", span.name, span.category,
-                  sid=self._next_sid,
-                  **dict(span.attributes,
-                         **({"async": True} if span.asynchronous
-                            else {})))
-
-    def span_close(self, span) -> None:
-        """Tracer sink: a span ended (attributes are final)."""
-        sid = self._sids.pop(id(span), None)
-        if sid is not None:
-            self.emit("span-close", sid=sid, **span.attributes)
-
-    def instant(self, span) -> None:
-        """Tracer sink: an instant event was recorded."""
-        self.emit("instant", span.name, span.category,
-                  **span.attributes)
+    # -- the metrics sink protocol ----------------------------------
 
     def counter(self, name: str, amount: int) -> None:
         """Metrics sink: a counter moved by ``amount``."""
@@ -356,6 +348,10 @@ class EventRecord:
     sid: Optional[int] = None
     attrs: Dict[str, object] = None
     lineno: int = 0
+    #: Display lane of a span-open or instant (0: the lane's own).
+    track: int = 0
+    #: True for an overlapping (async) span-open.
+    asynchronous: bool = False
 
 
 @dataclass(frozen=True)
@@ -381,6 +377,13 @@ class StreamScan:
         tail.  This is what ``repro verify`` treats as a violation."""
         return tuple((lineno, reason) for lineno, reason in self.invalid
                      if reason != "torn")
+
+    def latest(self) -> "StreamScan":
+        """This scan narrowed to the lane's latest writer generation
+        (the one a still-running or just-finished process wrote)."""
+        generations = self.generations()
+        return replace(self, records=generations[-1] if generations
+                       else ())
 
     def generations(self) -> List[Tuple[EventRecord, ...]]:
         """Records split into writer generations at each
@@ -413,6 +416,8 @@ def _parse_line(raw: bytes) -> Tuple[Optional[EventRecord], Optional[str]]:
             category=str(entry.get("cat", "")),
             sid=entry.get("sid"),
             attrs=dict(entry.get("attrs") or {}),
+            track=int(entry.get("track", 0)),
+            asynchronous=bool(entry.get("async", False)),
         )
     except (KeyError, TypeError, ValueError):
         return None, "malformed"
@@ -450,12 +455,7 @@ def scan_stream(path: Union[str, os.PathLike]) -> StreamScan:
             continue
         record, reason = _parse_line(stripped)
         if reason is None:
-            records.append(EventRecord(
-                lane=record.lane, seq=record.seq, kind=record.kind,
-                t=record.t, name=record.name,
-                category=record.category, sid=record.sid,
-                attrs=record.attrs, lineno=lineno,
-            ))
+            records.append(replace(record, lineno=lineno))
             continue
         if not terminated:
             reason = "torn"
@@ -502,89 +502,130 @@ def _microseconds(seconds: float) -> int:
 
 
 def trace_from_streams(scans: Sequence[StreamScan]) -> Dict[str, object]:
-    """A Chrome trace-event document rebuilt from the event log alone.
+    """A Chrome trace-event document rendered from the event log alone.
 
-    This is what makes interrupted runs finally produce usable
-    traces: span pairing happens per lane and per generation, and a
-    ``span-open`` whose close never made it to disk (a killed worker,
-    a crashed broker) is closed at its lane's last observed instant
-    with ``interrupted: true`` — accounted for, and honest about it.
-    Gauges become Perfetto counter tracks (``ph: "C"``); instants
-    become ``"i"`` marks.
+    Span pairing happens per lane and per generation, with the close's
+    attributes merged over the open's.  Sync spans become complete
+    (``"X"``) events; async spans become ``"b"``/``"e"`` pairs keyed
+    by their content-derived identity (:func:`span_ident`); instants
+    become ``"i"`` marks and gauges Perfetto counter samples
+    (``"C"``).  A ``span-open`` whose close never made it to disk (a
+    Ctrl-C, a killed worker, a crashed broker) is closed at its
+    lane's last observed instant with ``interrupted: true`` —
+    accounted for, and honest about it.
+
+    Every lane gets its own thread ids.  A lane whose records use only
+    track 0 is one thread named after the lane; a lane with pool
+    worker tracks keeps a thread named after the lane for its gauges,
+    plus ``supervisor`` (track 0) and ``worker-N`` (track ``1 + N``).
     """
-    lanes = sorted({scan.lane for scan in scans},
-                   key=lambda lane: (lane != "main", lane))
-    tids = {lane: n for n, lane in enumerate(lanes)}
+    tracks: Dict[str, Set[int]] = {}
+    for scan in scans:
+        tracks.setdefault(scan.lane, {0}).update(
+            record.track for record in scan.records)
+    tids: Dict[Tuple[str, int], int] = {}
+    metadata = [{
+        "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
+        "args": {"name": "repro"},
+    }]
+    for lane in sorted(tracks, key=lambda lane: (lane != "main", lane)):
+        lane_tracks = sorted(tracks[lane])
+        if len(lane_tracks) == 1:
+            names = {0: lane}
+        else:
+            names = {-1: lane, 0: "supervisor"}
+            names.update((track, f"worker-{track - 1}")
+                         for track in lane_tracks[1:])
+        for track in sorted(names):
+            tids[lane, track] = len(tids)
+            metadata.append({
+                "name": "thread_name", "ph": "M", "pid": _PID,
+                "tid": tids[lane, track],
+                "args": {"name": names[track]},
+            })
+
     instants = [record.t for scan in scans for record in scan.records]
     epoch = min(instants) if instants else 0.0
     wall_anchor = None
     events: List[Dict[str, object]] = []
-
     for scan in scans:
-        tid = tids[scan.lane]
+        lane = scan.lane
+        lane_tid = tids.get((lane, -1), tids[lane, 0])
         for gen in scan.generations():
             open_spans: Dict[int, EventRecord] = {}
-            last_t = gen[-1].t if gen else epoch
+            last_t = gen[-1].t
             for record in gen:
-                ts = _microseconds(record.t - epoch)
                 if record.kind == "stream-open":
-                    if wall_anchor is None and scan.lane == "main":
+                    if wall_anchor is None and lane == "main":
                         wall_anchor = record.attrs.get("wall")
-                    continue
-                if record.kind == "span-open":
+                elif record.kind == "span-open":
                     open_spans[record.sid] = record
                 elif record.kind == "span-close":
                     opened = open_spans.pop(record.sid, None)
-                    if opened is None:
-                        continue
-                    events.append(_complete(
-                        opened, record.attrs, tid, epoch, record.t))
+                    if opened is not None:
+                        events.extend(_span_events(
+                            opened, record.attrs, record.t,
+                            tids[lane, opened.track], epoch))
                 elif record.kind == "instant":
                     events.append({
                         "name": record.name, "cat": record.category,
-                        "ph": "i", "s": "t", "pid": _PID, "tid": tid,
-                        "ts": ts, "args": dict(record.attrs),
+                        "ph": "i", "s": "t", "pid": _PID,
+                        "tid": tids[lane, record.track],
+                        "ts": _microseconds(record.t - epoch),
+                        "args": dict(record.attrs),
                     })
                 elif record.kind == "gauge":
                     events.append({
                         "name": record.name, "cat": "metric",
-                        "ph": "C", "pid": _PID, "tid": tid, "ts": ts,
+                        "ph": "C", "pid": _PID, "tid": lane_tid,
+                        "ts": _microseconds(record.t - epoch),
                         "args": {"value": record.attrs.get("value")},
                     })
             for opened in open_spans.values():
-                closed = dict(opened.attrs)
-                closed["interrupted"] = True
-                events.append(_complete(opened, closed, tid, epoch,
-                                        last_t))
+                events.extend(_span_events(
+                    opened, {"interrupted": True}, last_t,
+                    tids[lane, opened.track], epoch))
 
-    metadata = [{
-        "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
-        "args": {"name": "repro (reconstructed from event stream)"},
-    }]
-    for lane in lanes:
-        metadata.append({
-            "name": "thread_name", "ph": "M", "pid": _PID,
-            "tid": tids[lane], "args": {"name": lane},
-        })
     return {
         "traceEvents": metadata + events,
         "displayTimeUnit": "ms",
         "otherData": {
-            "producer": "repro.obs.stream",
+            "producer": "repro.obs",
             "event_schema": EVENT_SCHEMA,
             "epoch_wall_time": wall_anchor,
         },
     }
 
 
-def _complete(opened: EventRecord, close_attrs: Dict[str, object],
-              tid: int, epoch: float, end: float) -> Dict[str, object]:
+def span_ident(name: str, category: str,
+               attributes: Dict[str, object]) -> str:
+    """A span's deterministic identity (no RNG, no clock, no sid).
+
+    ``category:name:key=value:...`` over the sorted final attributes,
+    so the same logical span gets the same identity in every run —
+    this is what async event pairing and trace diffing key on.
+    """
+    parts = [category, name]
+    parts.extend(f"{key}={attributes[key]}" for key in sorted(attributes))
+    return ":".join(parts)
+
+
+def _span_events(opened: EventRecord, close_attrs: Dict[str, object],
+                 end: float, tid: int,
+                 epoch: float) -> List[Dict[str, object]]:
     args = dict(opened.attrs)
     args.update(close_attrs)
-    return {
-        "name": opened.name, "cat": opened.category, "ph": "X",
-        "pid": _PID, "tid": tid,
-        "ts": _microseconds(opened.t - epoch),
-        "dur": _microseconds(max(0.0, end - opened.t)),
-        "args": args,
+    common = {
+        "name": opened.name, "cat": opened.category, "pid": _PID,
+        "tid": tid, "ts": _microseconds(opened.t - epoch),
     }
+    if not opened.asynchronous:
+        return [{**common, "ph": "X",
+                 "dur": _microseconds(max(0.0, end - opened.t)),
+                 "args": args}]
+    ident = span_ident(opened.name, opened.category, args)
+    return [
+        {**common, "ph": "b", "id": ident, "args": args},
+        {**common, "ph": "e", "id": ident,
+         "ts": _microseconds(end - epoch)},
+    ]

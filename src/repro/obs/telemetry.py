@@ -1,7 +1,7 @@
 """The :class:`Telemetry` facade the execution layers carry around.
 
-One object bundles the per-run observability state — a
-:class:`~repro.obs.span.Tracer`, a
+One object bundles the per-run observability state — the event-stream
+lane spans are recorded into, a
 :class:`~repro.obs.metrics.MetricsRegistry`, and the opt-in simulator
 counter hook — so every API that learned a ``telemetry=`` keyword
 (:func:`repro.exec.run_grid`, :meth:`repro.core.PBExperiment.run`,
@@ -9,13 +9,13 @@ counter hook — so every API that learned a ``telemetry=`` keyword
 CLI commands) threads a single optional argument instead of three.
 
 Any component may be absent: ``Telemetry(metrics=registry)`` collects
-counters without paying for span recording, and ``telemetry=None``
-(the default everywhere) is the zero-overhead off switch.  The
-:meth:`phase` helper degrades to a no-op context manager when there is
-no tracer, so instrumented code reads identically either way.
+counters without recording spans, and ``telemetry=None`` (the default
+everywhere) is the zero-overhead off switch.  The :meth:`phase` helper
+degrades to a no-op context manager when no lane records spans, so
+instrumented code reads identically either way.
 
 Telemetry is **strictly observational**: the engine invokes every
-tracer/metrics call through a guarded path (a raising hook warns once
+span/metrics call through a guarded path (a raising hook warns once
 and is ignored), results are bit-identical with telemetry on or off,
 and nothing recorded here feeds back into execution.
 """
@@ -26,18 +26,15 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from typing import ContextManager, Optional
 
 from .metrics import MetricsRegistry
-from .span import Tracer
 
 __all__ = ["Telemetry", "phase_of"]
 
 
 class Telemetry:
-    """Bundled tracer + metrics registry + simulator-counter opt-in.
+    """Bundled span lane + metrics registry + simulator-counter opt-in.
 
     Parameters
     ----------
-    tracer:
-        Span recorder, or ``None`` to skip span collection.
     metrics:
         Metrics registry, or ``None`` to skip counters.
     simulator_counters:
@@ -47,25 +44,30 @@ class Telemetry:
         the registry under ``sim.*`` — opt-in because an 88-run screen
         emits them 1144 times.
     stream:
-        A :class:`~repro.obs.stream.EventWriter` lane that the tracer
-        and registry fan out to, making the run watchable while it
-        executes.  Held here so shutdown (:meth:`close`) can flush
-        open spans into the stream and seal the generation.
+        A :class:`~repro.obs.stream.EventWriter` lane.  Spans are
+        recorded straight into it (``open_span`` / ``close_span`` /
+        ``mark``), the registry built by :meth:`armed` fans out to it,
+        and :meth:`close` seals its generation.  Every trace is
+        rendered from this lane by
+        :func:`~repro.obs.stream.trace_from_streams`.
     profiler:
         A :class:`~repro.obs.profile.PhaseProfiler` capturing a
         cProfile per engine phase; :meth:`phase` composes it with the
-        tracer span so instrumented code is unchanged.
+        phase span so instrumented code is unchanged.
+    trace:
+        Record spans into ``stream`` (the default); ``False`` keeps
+        the lane for metrics and progress only.
     """
 
-    def __init__(self, *, tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+    def __init__(self, *, metrics: Optional[MetricsRegistry] = None,
                  simulator_counters: bool = False,
-                 stream=None, profiler=None):
-        self.tracer = tracer
+                 stream=None, profiler=None, trace: bool = True):
         self.metrics = metrics
         self.simulator_counters = simulator_counters
         self.stream = stream
         self.profiler = profiler
+        #: The lane spans are recorded into, or ``None``.
+        self.spans = stream if trace else None
 
     @classmethod
     def armed(cls, *, trace: bool = True, metrics: bool = True,
@@ -73,53 +75,51 @@ class Telemetry:
               stream=None, profiler=None) -> "Telemetry":
         """A telemetry bundle with the requested components built.
 
-        When a ``stream`` lane is given it is installed as the sink of
-        every component built here, so arming the stream alone is
-        enough to get live span and metric events.
+        Spans need a ``stream`` lane to land in; without one,
+        ``trace`` records nothing.  The registry built here streams
+        into the lane too, so arming the stream alone is enough to get
+        live span and metric events.
         """
         return cls(
-            tracer=Tracer(sink=stream) if trace else None,
             metrics=MetricsRegistry(sink=stream) if metrics else None,
             simulator_counters=simulator_counters,
-            stream=stream, profiler=profiler,
+            stream=stream, profiler=profiler, trace=trace,
         )
 
     @property
     def enabled(self) -> bool:
         """True when at least one component is collecting."""
-        return (self.tracer is not None or self.metrics is not None
-                or self.stream is not None)
+        return self.metrics is not None or self.stream is not None
 
     def phase(self, name: str, **attributes) -> ContextManager:
-        """A coarse phase span, or a no-op without a tracer::
+        """A coarse phase span, or a no-op without a span lane::
 
             with telemetry.phase("effects", benchmarks=13):
                 ...
 
-        With a profiler attached the phase body is also profiled
-        (outermost phase only — cProfile cannot nest).
+        An exception leaving the body is recorded on the span as
+        ``error=<type name>``.  With a profiler attached the phase
+        body is also profiled (outermost phase only — cProfile cannot
+        nest).
 
         Safe on a ``None``-less call site only; the execution layers
         use ``telemetry.phase(...) if telemetry else nullcontext()``
         via :func:`phase_of`.
         """
-        span = (self.tracer.span(name, "phase", **attributes)
-                if self.tracer is not None else nullcontext())
+        span = (_phase_span(self.spans, name, attributes)
+                if self.spans is not None else nullcontext())
         if self.profiler is None:
             return span
         return _stacked(span, self.profiler.phase(name))
 
     def close(self, status: str = "completed") -> None:
-        """Flush and seal the telemetry for shutdown — clean or not.
+        """Seal the stream generation for shutdown — clean or not.
 
-        Closes every still-open span (which, with a stream sink
-        attached, emits their ``span-close`` records marked
-        ``interrupted``) and seals the stream generation with a
-        ``stream-close`` carrying ``status``.  Idempotent; safe to
-        call from interrupt handlers.
+        Appends a ``stream-close`` carrying ``status``.  Spans still
+        open (an interrupt mid-grid) need nothing here: readers close
+        them at the lane's last instant, marked ``interrupted``.
+        Idempotent; safe to call from interrupt handlers.
         """
-        if self.tracer is not None:
-            self.tracer.close_open_spans()
         if self.stream is not None:
             self.stream.close(status)
 
@@ -133,6 +133,20 @@ class Telemetry:
         if self.metrics is None:
             return {}
         return self.metrics.snapshot()
+
+
+@contextmanager
+def _phase_span(lane, name: str, attributes: dict):
+    """One ``phase`` span on ``lane`` around the ``with`` body."""
+    sid = lane.open_span(name, "phase", **attributes)
+    final = {}
+    try:
+        yield sid
+    except BaseException as exc:
+        final["error"] = type(exc).__name__
+        raise
+    finally:
+        lane.close_span(sid, **final)
 
 
 @contextmanager

@@ -9,7 +9,13 @@ import multiprocessing
 import pytest
 
 from repro.core import PBExperiment
-from repro.obs import Telemetry, chrome_trace, scrub_trace
+from repro.obs import (
+    EventWriter,
+    Telemetry,
+    scan_stream,
+    scrub_trace,
+    trace_from_streams,
+)
 from repro.workloads import benchmark_suite
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
@@ -29,14 +35,26 @@ def _screen(traces, telemetry=None, jobs=1):
     return PBExperiment(traces).run(jobs=jobs, telemetry=telemetry)
 
 
+def _armed(lane_dir):
+    stream = EventWriter(lane_dir / "main.events.jsonl", lane="main")
+    return Telemetry.armed(simulator_counters=True, stream=stream)
+
+
+def _trace(telemetry):
+    """The trace rendered from the run's event-log lane."""
+    return trace_from_streams([scan_stream(telemetry.stream.path)])
+
+
 @pytest.fixture(scope="module")
-def observed_runs(traces):
+def observed_runs(traces, tmp_path_factory):
     """Two identical fully-instrumented parallel screens."""
     jobs = 2 if fork_available else 1
-    first = Telemetry.armed(simulator_counters=True)
-    second = Telemetry.armed(simulator_counters=True)
+    first = _armed(tmp_path_factory.mktemp("first"))
+    second = _armed(tmp_path_factory.mktemp("second"))
     result_a = _screen(traces, telemetry=first, jobs=jobs)
     result_b = _screen(traces, telemetry=second, jobs=jobs)
+    first.close()
+    second.close()
     return (first, result_a), (second, result_b)
 
 
@@ -52,13 +70,13 @@ class TestBitIdenticalResults:
 class TestStructuralTraceIdentity:
     def test_scrubbed_traces_equal(self, observed_runs):
         (first, _), (second, _) = observed_runs
-        a = scrub_trace(chrome_trace(first.tracer))
-        b = scrub_trace(chrome_trace(second.tracer))
+        a = scrub_trace(_trace(first))
+        b = scrub_trace(_trace(second))
         assert a == b
 
     def test_lifecycle_phases_distinguishable(self, observed_runs):
         (first, _), _ = observed_runs
-        trace = chrome_trace(first.tracer)
+        trace = _trace(first)
         names = {(e.get("cat"), e["name"])
                  for e in trace["traceEvents"] if e["ph"] != "M"}
         assert ("grid", "grid") in names
@@ -67,13 +85,35 @@ class TestStructuralTraceIdentity:
         if fork_available:
             assert ("task", "queue") in names
 
+    @pytest.mark.skipif(not fork_available, reason="needs fork")
+    def test_pool_tracks_and_queue_pairs_rendered(self, observed_runs):
+        """A jobs=2 grid's lane renders its worker tracks and async
+        queue waits, not one flat thread of overlapping spans."""
+        (first, _), _ = observed_runs
+        events = _trace(first)["traceEvents"]
+        threads = {e["tid"]: e["args"]["name"] for e in events
+                   if e["ph"] == "M" and e["name"] == "thread_name"}
+        workers = {name for name in threads.values()
+                   if name.startswith("worker-")}
+        assert len(workers) >= 2
+        runs = {threads[e["tid"]] for e in events
+                if e["name"] == "run"}
+        assert runs <= workers
+        queue = [e for e in events if e["name"] == "queue"]
+        assert {e["ph"] for e in queue} == {"b", "e"}
+        begins = sorted(e["id"] for e in queue if e["ph"] == "b")
+        ends = sorted(e["id"] for e in queue if e["ph"] == "e")
+        assert begins == ends and len(begins) == 88
+
     def test_trace_covers_run_wall_time(self, observed_runs):
         (first, _), _ = observed_runs
-        spans = first.tracer.spans()
-        extent = max(s.end for s in spans) - min(s.start for s in spans)
+        spans = [e for e in _trace(first)["traceEvents"]
+                 if e["ph"] != "M"]
+        extent = (max(e["ts"] + e.get("dur", 0) for e in spans)
+                  - min(e["ts"] for e in spans))
         covered = sum(
-            s.duration for s in spans
-            if (s.category, s.name) in (
+            e["dur"] for e in spans
+            if e["ph"] == "X" and (e["cat"], e["name"]) in (
                 ("grid", "grid"),
                 ("phase", "pb-design"),
                 ("phase", "pb-analyze"),

@@ -107,6 +107,33 @@ class TestRollups:
         snap = fleet_snapshot(tmp_path / "spool")
         assert snap.counters["tasks.completed"] == 5
 
+    def test_histograms_and_gauge_peaks_replayed(self, tmp_path):
+        """One registry aggregates the lane: histograms and gauge
+        peaks survive, as in the run's own metrics snapshot."""
+        writer = self.lane(tmp_path, [
+            ("observe", ("task.seconds", 0.5)),
+            ("observe", ("task.seconds", 1.5)),
+            ("gauge", ("queue.depth", 7)),
+            ("gauge", ("queue.depth", 2)),
+        ])
+        writer.close()
+        snap = fleet_snapshot(tmp_path).metrics.snapshot()
+        assert snap["task.seconds"]["count"] == 2
+        assert snap["task.seconds"]["sum"] == 2.0
+        assert snap["task.seconds"]["max"] == 1.5
+        assert (snap["queue.depth"]["value"],
+                snap["queue.depth"]["peak"]) == (2, 7)
+
+    def test_unreplayable_samples_are_skipped(self, tmp_path):
+        writer = self.lane(tmp_path, [
+            ("counter", ("tasks.completed", 3)),
+            ("gauge", ("tasks.completed", 9)),  # kind clash
+            ("counter", ("tasks.completed", 1)),
+        ])
+        writer.close()
+        assert fleet_snapshot(tmp_path).counters == {
+            "tasks.completed": 4}
+
     def test_latest_generation_only(self, tmp_path):
         """A restarted broker re-counts restored cells; its earlier
         generation must not double the tally."""

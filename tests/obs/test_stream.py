@@ -1,17 +1,20 @@
 """The event log (repro.obs.stream): sealed-line writer, torn-tail
-tolerant reader, generation repair, and trace reconstruction."""
+tolerant reader, generation repair, span records, and trace
+rendering."""
 
 import json
 import warnings
 
 import pytest
 
+from repro.exec.engine import _Observer
 from repro.obs import Telemetry
 from repro.obs.stream import (
     EVENT_SCHEMA,
     EventWriter,
     find_stream_lanes,
     scan_stream,
+    span_ident,
     trace_from_streams,
 )
 
@@ -276,6 +279,45 @@ class TestTraceReconstruction:
                   if e["ph"] in ("C", "i")}
         assert phases == {"queue.depth": "C", "retry": "i"}
 
+    def test_tracks_become_supervisor_and_worker_threads(self, tmp_path):
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            writer.gauge("queue.depth", 2)
+            writer.mark("restore", "cache", index=0)
+            for track in (1, 2):
+                sid = writer.open_span("run", "task", track=track,
+                                       index=track)
+                writer.close_span(sid, outcome="ok")
+        doc = trace_from_streams([scan_stream(path)])
+        threads = {e["args"]["name"]: e["tid"]
+                   for e in doc["traceEvents"]
+                   if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert threads == {"main": 0, "supervisor": 1, "worker-0": 2,
+                           "worker-1": 3}
+        tids = {e["name"]: e["tid"] for e in doc["traceEvents"]
+                if e["ph"] in ("C", "i")}
+        assert tids == {"queue.depth": 0, "restore": 1}
+        runs = sorted(e["tid"] for e in doc["traceEvents"]
+                      if e["name"] == "run")
+        assert runs == [2, 3]
+
+    def test_async_spans_become_b_e_pairs(self, tmp_path):
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            sid = writer.open_span("queue", "task", asynchronous=True,
+                                   index=4, attempt=0)
+            writer.close_span(sid, outcome="dispatched")
+        doc = trace_from_streams([scan_stream(path)])
+        begin, end = [e for e in doc["traceEvents"]
+                      if e["ph"] in ("b", "e")]
+        assert (begin["ph"], end["ph"]) == ("b", "e")
+        assert begin["id"] == end["id"] \
+            == "task:queue:attempt=0:index=4:outcome=dispatched"
+        assert begin["args"] == {"index": 4, "attempt": 0,
+                                 "outcome": "dispatched"}
+        assert "args" not in end
+        assert end["ts"] >= begin["ts"]
+
     def test_lanes_become_named_threads_main_first(self, tmp_path):
         doc = trace_from_streams(self._scan(tmp_path))
         threads = {e["args"]["name"]: e["tid"]
@@ -294,33 +336,57 @@ class TestTraceReconstruction:
 
 
 class TestInterruptedFlush:
-    """Satellite: an interrupted run still flushes span closes and
-    seals its generation (Telemetry.close)."""
+    """An interrupted run seals its generation (Telemetry.close); the
+    spans it left open are closed by the reader, marked interrupted."""
 
     def test_close_flushes_open_spans_into_stream(self, tmp_path):
         path = lane_path(tmp_path)
         stream = EventWriter(path, lane="main", version="v")
         telemetry = Telemetry.armed(simulator_counters=True,
                                     stream=stream)
-        telemetry.tracer.begin("grid", "grid", tasks=88)
+        telemetry.spans.open_span("grid", "grid", tasks=88)
         telemetry.metrics.count("tasks.completed", 17)
         telemetry.close("interrupted")
         scan = scan_stream(path)
-        closes = [r for r in scan.records if r.kind == "span-close"]
-        assert closes and closes[0].attrs["interrupted"] is True
+        # One mechanism: the writer records no synthetic close; the
+        # reader closes the span at the lane's last instant.
+        assert not [r for r in scan.records if r.kind == "span-close"]
         assert scan.records[-1].kind == "stream-close"
         assert scan.records[-1].attrs["status"] == "interrupted"
+        (grid,) = [e for e in trace_from_streams([scan])["traceEvents"]
+                   if e["ph"] == "X"]
+        assert grid["args"] == {"tasks": 88, "interrupted": True}
+        # ...ending at the stream-close (microsecond rounding aside)
+        end = (scan.records[-1].t - scan.records[0].t) * 1e6
+        assert abs(grid["ts"] + grid["dur"] - end) <= 1
 
     def test_trace_reconstructs_after_interrupt(self, tmp_path):
         path = lane_path(tmp_path)
         stream = EventWriter(path, lane="main", version="v")
         telemetry = Telemetry.armed(stream=stream)
-        telemetry.tracer.begin("pb-design", "phase")
+        telemetry.spans.open_span("pb-design", "phase")
         telemetry.close("interrupted")
         doc = trace_from_streams([scan_stream(path)])
         (span,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert span["name"] == "pb-design"
         assert span["args"]["interrupted"] is True
+
+    def test_interrupted_per_generation(self, tmp_path):
+        """A crashed generation's open span is closed at *its* last
+        instant, not carried into the next generation."""
+        path = lane_path(tmp_path)
+        first = EventWriter(path, lane="main", version="v")
+        first.open_span("grid", "grid")
+        first.mark("last-of-gen-1")
+        first._handle.close()  # SIGKILL: no stream-close
+        with EventWriter(path, lane="main", version="v") as second:
+            second.close_span(1, completed=88)  # sid 1 of *this* gen
+        scan = scan_stream(path)
+        doc = trace_from_streams([scan])
+        (grid,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert grid["args"] == {"interrupted": True}
+        (mark,) = [e for e in doc["traceEvents"] if e["ph"] == "i"]
+        assert abs(grid["ts"] + grid["dur"] - mark["ts"]) <= 1
 
     def test_close_is_idempotent(self, tmp_path):
         path = lane_path(tmp_path)
@@ -333,3 +399,167 @@ class TestInterruptedFlush:
         closes = [r for r in scan_stream(path).records
                   if r.kind == "stream-close"]
         assert len(closes) == 1
+
+
+def _rendered(path):
+    return trace_from_streams([scan_stream(path)])["traceEvents"]
+
+
+class TestContentIdentity:
+    def test_ident_is_content_derived(self):
+        a = span_ident("run", "task", {"index": 3, "attempt": 0})
+        b = span_ident("run", "task", {"attempt": 0, "index": 3})
+        assert a == b
+        assert a == "task:run:attempt=0:index=3"
+
+    def test_ident_distinguishes_attributes(self):
+        assert span_ident("run", "task", {"index": 3}) \
+            != span_ident("run", "task", {"index": 4})
+
+    def test_async_ids_survive_record_order_and_time(self, tmp_path):
+        """Two lanes recording the same async spans in a different
+        order and at different instants render the same ids."""
+        ids = []
+        for name, order in (("a", (0, 1)), ("b", (1, 0))):
+            path = lane_path(tmp_path / name)
+            with EventWriter(path, lane="main", version="v") as writer:
+                sids = {i: writer.open_span("queue", "task",
+                                            asynchronous=True, index=i)
+                        for i in order}
+                for i in order:
+                    writer.close_span(sids[i], outcome="dispatched")
+            ids.append(sorted(e["id"] for e in _rendered(path)
+                              if e["ph"] == "b"))
+        assert ids[0] == ids[1] == [
+            "task:queue:index=0:outcome=dispatched",
+            "task:queue:index=1:outcome=dispatched",
+        ]
+
+
+class TestLaneRecords:
+    """The span API on a lane: what the engine, broker, phases and
+    dist workers all record through."""
+
+    def test_open_span_has_no_duration_until_closed(self, tmp_path):
+        path = lane_path(tmp_path)
+        writer = EventWriter(path, lane="main", version="v")
+        sid = writer.open_span("x", "task")
+        assert [r.kind for r in scan_stream(path).records] \
+            == ["stream-open", "span-open"]
+        writer.close_span(sid)
+        (span,) = [e for e in _rendered(path) if e["ph"] == "X"]
+        assert span["dur"] >= 0
+        assert "interrupted" not in span["args"]
+
+    def test_open_close_records_interval(self, tmp_path):
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            sid = writer.open_span("grid", "grid", tasks=4)
+            writer.close_span(sid, completed=4)
+        closes = [r for r in scan_stream(path).records
+                  if r.kind == "span-close"]
+        assert closes[0].attrs == {"completed": 4}  # final attrs only
+        (span,) = [e for e in _rendered(path) if e["ph"] == "X"]
+        assert span["args"] == {"tasks": 4, "completed": 4}
+        assert span["dur"] >= 0
+
+    def test_only_unclosed_spans_marked_interrupted(self, tmp_path):
+        path = lane_path(tmp_path)
+        writer = EventWriter(path, lane="main", version="v")
+        writer.open_span("a")
+        writer.close_span(writer.open_span("b"))
+        spans = {e["name"]: e["args"] for e in _rendered(path)
+                 if e["ph"] == "X"}
+        assert spans == {"a": {"interrupted": True}, "b": {}}
+
+    def test_observer_finish_is_idempotent(self, tmp_path):
+        path = lane_path(tmp_path)
+        stream = EventWriter(path, lane="main", version="v")
+        obs = _Observer(None, Telemetry(stream=stream))
+        sid = obs.begin("a", "phase")
+        obs.finish(sid, outcome="first")
+        obs.finish(sid, outcome="late")
+        obs.finish(None)
+        closes = [r for r in scan_stream(path).records
+                  if r.kind == "span-close"]
+        assert [r.attrs for r in closes] == [{"outcome": "first"}]
+
+    def test_mark_is_instant(self, tmp_path):
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            writer.mark("retry", "fault", index=2)
+        (event,) = [e for e in _rendered(path) if e["ph"] != "M"]
+        assert (event["ph"], event["name"], event["cat"]) \
+            == ("i", "retry", "fault")
+        assert event["args"] == {"index": 2}
+        assert "dur" not in event
+
+    def test_default_track_is_supervisor(self, tmp_path):
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            writer.open_span("a")
+            writer.open_span("b", track=3, asynchronous=True)
+            writer.mark("c")
+        records = {r.name: r for r in scan_stream(path).records
+                   if r.name}
+        assert (records["a"].track, records["a"].asynchronous) \
+            == (0, False)
+        assert (records["b"].track, records["b"].asynchronous) \
+            == (3, True)
+        assert records["c"].track == 0
+        # Defaults are not written: a serial run's lane does not grow.
+        raw = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [("track" in e, "async" in e) for e in raw
+                if e.get("name") in ("a", "c")] \
+            == [(False, False), (False, False)]
+        assert [(e["track"], e["async"]) for e in raw
+                if e.get("name") == "b"] == [(3, True)]
+
+    def test_phase_closes_span(self, tmp_path):
+        path = lane_path(tmp_path)
+        telemetry = Telemetry(
+            stream=EventWriter(path, lane="main", version="v"))
+        with telemetry.phase("phase-x", rows=88):
+            pass
+        (span,) = [e for e in _rendered(path) if e["ph"] == "X"]
+        assert (span["name"], span["cat"]) == ("phase-x", "phase")
+        assert span["args"] == {"rows": 88}
+
+    def test_phase_records_error_type(self, tmp_path):
+        path = lane_path(tmp_path)
+        telemetry = Telemetry(
+            stream=EventWriter(path, lane="main", version="v"))
+        with pytest.raises(ValueError):
+            with telemetry.phase("phase-x"):
+                raise ValueError("boom")
+        (span,) = [e for e in _rendered(path) if e["ph"] == "X"]
+        assert span["args"]["error"] == "ValueError"
+        assert "interrupted" not in span["args"]
+
+    def test_records_count_spans_and_instants(self, tmp_path):
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            writer.close_span(writer.open_span("a"))
+            writer.mark("e")
+        assert len([e for e in _rendered(path) if e["ph"] != "M"]) == 2
+
+    def test_lane_without_track_fields_still_parses(self, tmp_path):
+        """Older lanes (no top-level track/async) read as track 0,
+        sync — EVENT_SCHEMA is unchanged."""
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            writer.close_span(writer.open_span("grid", "grid"))
+        scan = scan_stream(path)
+        assert scan.invalid == ()
+        assert {(r.track, r.asynchronous) for r in scan.records} \
+            == {(0, False)}
+
+    def test_latest_narrows_to_last_generation(self, tmp_path):
+        path = lane_path(tmp_path)
+        for n in range(2):
+            with EventWriter(path, lane="main", version="v") as writer:
+                writer.mark(f"g{n}")
+        latest = scan_stream(path).latest()
+        assert [r.name for r in latest.records if r.kind == "instant"] \
+            == ["g1"]
+        assert len(latest.generations()) == 1

@@ -7,7 +7,13 @@ import pytest
 
 from repro.cpu import MachineConfig
 from repro.exec import ResultCache, SimTask, run_grid
-from repro.obs import MetricsRegistry, Telemetry, Tracer
+from repro.obs import (
+    EventWriter,
+    MetricsRegistry,
+    Telemetry,
+    scan_stream,
+    trace_from_streams,
+)
 from repro.obs.telemetry import phase_of
 from repro.workloads import benchmark_trace
 
@@ -24,19 +30,38 @@ def _tasks(traces, repeat=2):
     ]
 
 
+def _lane(tmp_path):
+    return EventWriter(tmp_path / "main.events.jsonl", lane="main")
+
+
+def _spans(telemetry):
+    """Spans and instants rendered from the telemetry's lane."""
+    doc = trace_from_streams([scan_stream(telemetry.stream.path)])
+    return [e for e in doc["traceEvents"] if e["ph"] in ("X", "b", "i")]
+
+
 class TestTelemetryFacade:
-    def test_armed_builds_components(self):
-        telemetry = Telemetry.armed(simulator_counters=True)
-        assert isinstance(telemetry.tracer, Tracer)
+    def test_armed_builds_components(self, tmp_path):
+        stream = _lane(tmp_path)
+        telemetry = Telemetry.armed(simulator_counters=True,
+                                    stream=stream)
+        assert telemetry.spans is stream
         assert isinstance(telemetry.metrics, MetricsRegistry)
+        assert telemetry.metrics.sink is stream
         assert telemetry.simulator_counters
         assert telemetry.enabled
 
-    def test_partial_arming(self):
-        telemetry = Telemetry.armed(trace=False)
-        assert telemetry.tracer is None
+    def test_partial_arming(self, tmp_path):
+        telemetry = Telemetry.armed(trace=False, stream=_lane(tmp_path))
+        assert telemetry.spans is None
         assert telemetry.metrics is not None
         assert telemetry.enabled
+
+    def test_trace_without_lane_records_nothing(self):
+        telemetry = Telemetry.armed()
+        assert telemetry.spans is None
+        with telemetry.phase("x"):
+            pass
 
     def test_phase_without_tracer_is_noop(self):
         telemetry = Telemetry()
@@ -49,14 +74,14 @@ class TestTelemetryFacade:
         with phase_of(None, "x"):
             pass
 
-    def test_phase_records_span(self):
-        telemetry = Telemetry.armed()
+    def test_phase_records_span(self, tmp_path):
+        telemetry = Telemetry.armed(stream=_lane(tmp_path))
         with telemetry.phase("effects", rows=88):
             pass
-        (span,) = telemetry.tracer.spans()
-        assert span.name == "effects"
-        assert span.category == "phase"
-        assert span.attributes == {"rows": 88}
+        (span,) = _spans(telemetry)
+        assert span["name"] == "effects"
+        assert span["cat"] == "phase"
+        assert span["args"] == {"rows": 88}
 
 
 class TestGridTelemetry:
@@ -79,30 +104,31 @@ class TestGridTelemetry:
         assert snap["sim.cycles"]["value"] > 0
         assert snap["sim.stall.mispredict"]["value"] >= 0
 
-    def test_spans_cover_lifecycle(self, traces):
+    def test_spans_cover_lifecycle(self, traces, tmp_path):
         tasks = _tasks(traces, repeat=1)
-        telemetry = Telemetry.armed()
+        telemetry = Telemetry.armed(stream=_lane(tmp_path))
         run_grid(tasks, telemetry=telemetry)
-        spans = telemetry.tracer.spans()
-        names = {(s.category, s.name) for s in spans}
+        spans = _spans(telemetry)
+        names = {(s["cat"], s["name"]) for s in spans}
         assert ("grid", "grid") in names
         assert ("phase", "preload") in names
         assert ("task", "run") in names
-        runs = [s for s in spans if s.name == "run"]
+        runs = [s for s in spans if s["name"] == "run"]
         assert len(runs) == len(tasks)
         for span in runs:
-            assert span.end is not None
-            assert span.attributes["outcome"] == "ok"
+            assert span["ph"] == "X" and span["dur"] >= 0
+            assert "interrupted" not in span["args"]
+            assert span["args"]["outcome"] == "ok"
 
-    def test_grid_span_attributes(self, traces):
+    def test_grid_span_attributes(self, traces, tmp_path):
         tasks = _tasks(traces, repeat=1)
-        telemetry = Telemetry.armed()
+        telemetry = Telemetry.armed(stream=_lane(tmp_path))
         run_grid(tasks, telemetry=telemetry)
-        (grid_span,) = [s for s in telemetry.tracer.spans()
-                        if s.name == "grid"]
-        assert grid_span.attributes["tasks"] == len(tasks)
-        assert grid_span.attributes["completed"] == len(tasks)
-        assert grid_span.attributes["failures"] == 0
+        (grid_span,) = [s for s in _spans(telemetry)
+                        if s["name"] == "grid"]
+        assert grid_span["args"]["tasks"] == len(tasks)
+        assert grid_span["args"]["completed"] == len(tasks)
+        assert grid_span["args"]["failures"] == 0
 
     def test_sim_counters_are_opt_in(self, traces):
         tasks = _tasks(traces, repeat=1)
@@ -135,13 +161,13 @@ class TestGuardedObservation:
     def test_raising_tracer_warns_once_and_continues(self, traces):
         tasks = _tasks(traces, repeat=1)
 
-        class BrokenTracer:
-            def begin(self, *args, **kwargs):
-                raise RuntimeError("tracer bug")
+        class BrokenLane:
+            def open_span(self, *args, **kwargs):
+                raise RuntimeError("span lane bug")
 
-            finish = event = begin
+            close_span = mark = progress = open_span
 
-        telemetry = Telemetry(tracer=BrokenTracer())
+        telemetry = Telemetry(stream=BrokenLane())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             bare = run_grid(tasks)

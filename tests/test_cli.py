@@ -413,6 +413,132 @@ class TestObservabilityFlags:
         assert run["outcome"]["exit_status"] == "interrupted"
 
 
+class TestTraceFromStream:
+    """--trace renders the run's own event-lane generation through the
+    same renderer as `repro obs export`; the Prometheus export replays
+    the lane through a metrics registry."""
+
+    SCREEN = ["screen", "-b", "gzip", "-n", "300"]
+
+    @staticmethod
+    def _jobs():
+        import multiprocessing
+
+        return "2" if "fork" in \
+            multiprocessing.get_all_start_methods() else "1"
+
+    def test_trace_byte_equal_to_stream_export(self, tmp_path, capsys):
+        import json
+
+        trace = tmp_path / "trace.json"
+        stream = tmp_path / "stream"
+        metrics = tmp_path / "metrics.jsonl"
+        assert main(self.SCREEN + [
+            "--jobs", self._jobs(), "--trace", str(trace),
+            "--stream", str(stream), "--metrics", str(metrics),
+        ]) == 0
+        exported = tmp_path / "export.json"
+        assert main(["obs", "export", str(stream), "--format",
+                     "perfetto", "--out", str(exported)]) == 0
+        assert exported.read_bytes() == trace.read_bytes()
+        events = json.loads(trace.read_text())["traceEvents"]
+        if self._jobs() == "2":
+            threads = {e["args"]["name"] for e in events
+                       if e.get("name") == "thread_name"}
+            assert len({t for t in threads
+                        if t.startswith("worker-")}) >= 2
+            assert {e["ph"] for e in events
+                    if e["name"] == "queue"} == {"b", "e"}
+
+    def test_prometheus_export_keeps_histograms_and_peaks(
+            self, tmp_path, capsys):
+        import json
+
+        run_dir = tmp_path / "run"
+        assert main(self.SCREEN + ["--run-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "export", str(run_dir),
+                     "--format", "prometheus"]) == 0
+        lines = dict(line.rsplit(" ", 1) for line in
+                     capsys.readouterr().out.splitlines()
+                     if not line.startswith("#"))
+        metrics = {entry["name"]: entry for entry in map(
+            json.loads,
+            (run_dir / "metrics.jsonl").read_text().splitlines())}
+        assert int(lines["repro_task_seconds_count"]) \
+            == metrics["task.seconds"]["count"] == 88
+        assert float(lines["repro_task_seconds_sum"]) \
+            == metrics["task.seconds"]["sum"]
+        assert int(lines["repro_tasks_completed_total"]) == 88
+        assert int(lines["repro_progress_done"]) == 88
+        assert "repro_progress_total_peak" in lines
+
+    def test_rerun_trace_holds_only_its_own_generation(
+            self, tmp_path, capsys):
+        import json
+
+        from repro.obs.export import trace_json
+        from repro.obs.stream import scan_stream
+
+        run_dir = tmp_path / "run"
+        first, second = tmp_path / "t1.json", tmp_path / "t2.json"
+        assert main(self.SCREEN + ["--run-dir", str(run_dir),
+                                   "--trace", str(first)]) == 0
+        assert main(self.SCREEN + ["--run-dir", str(run_dir),
+                                   "--trace", str(second)]) == 0
+        lane = scan_stream(run_dir / "stream" / "main.events.jsonl")
+        assert len(lane.generations()) == 2
+        assert second.read_text() == trace_json([lane.latest()])
+
+        def names(path):
+            return [e["name"] for e in
+                    json.loads(path.read_text())["traceEvents"]
+                    if e["ph"] != "M"]
+
+        assert names(first).count("run") == 88
+        # The rerun restored every cell from the journal: none of the
+        # first pass's task runs (or its grid span) leak into it.
+        assert names(second).count("run") == 0
+        assert names(second).count("grid") == 1
+        assert names(second).count("restore") == 88
+
+    def test_trace_without_stream_removes_its_temporary_lane(
+            self, tmp_path, monkeypatch, capsys):
+        import json
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        trace = tmp_path / "trace.json"
+        assert main(self.SCREEN + ["--trace", str(trace)]) == 0
+        assert list(scratch.iterdir()) == []
+        names = {e["name"] for e in
+                 json.loads(trace.read_text())["traceEvents"]}
+        assert {"grid", "run", "pb-design", "rank"} <= names
+
+    def test_export_out_is_atomic_under_torn_write(self, tmp_path,
+                                                   capsys):
+        from repro.guard import faults
+        from repro.guard.faults import FaultInjector
+
+        stream = tmp_path / "stream"
+        assert main(self.SCREEN + ["--stream", str(stream)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "export", str(stream),
+                     "--format", "perfetto"]) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "export" / "trace.json"
+        injector = FaultInjector.from_spec("torn:0")
+        with faults.injected(injector):
+            assert main(["obs", "export", str(stream), "--format",
+                         "perfetto", "--out", str(out)]) == 0
+        # The torn first write was rolled back and retried whole.
+        assert [fired[-1] for fired in injector.fired] == ["torn"]
+        assert out.read_text() == expected
+        assert [p.name for p in out.parent.iterdir()] == ["trace.json"]
+
+
 class TestGuardFlags:
     def test_audit_default_off(self):
         args = build_parser().parse_args(["screen"])

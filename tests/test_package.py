@@ -53,3 +53,17 @@ class TestSurface:
         result = PBExperiment(traces).run()
         ranking = rank_parameters_from_result(result)
         assert len(ranking.significant_factors()) >= 1
+
+    def test_obs_has_one_span_path(self):
+        """Spans live only in the event stream: the observability
+        package holds no in-memory tracer module beside it."""
+        import pkgutil
+
+        import repro.obs
+
+        modules = {info.name for info in
+                   pkgutil.iter_modules(repro.obs.__path__)}
+        assert modules == {"clock", "export", "fleet", "manifest",
+                           "metrics", "profile", "stream", "telemetry"}
+        assert {"EventWriter", "span_ident", "trace_from_streams",
+                "trace_json"} <= set(repro.obs.__all__)
