@@ -15,8 +15,8 @@ The design constraints, in order:
    whole-then-renamed and sealed; every claim is a single atomic
    rename.  Any process — worker or broker — may die at any
    instruction and the spool remains a consistent, resumable ledger.
-2. **Results identical to single-host.**  The broker reuses the
-   engine's storage/retry callbacks, the simulator is deterministic,
+2. **Results identical to single-host.**  The broker reports to the
+   engine's grid object, the simulator is deterministic,
    and dedup is content-keyed, so a chaos-ridden distributed screen
    seals byte-identical results to a quiet in-process one (the
    acceptance tests prove this).

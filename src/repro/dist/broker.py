@@ -1,12 +1,12 @@
 """The experiment broker: publish, watch, reclaim, harvest.
 
 :func:`run_dist` is the distributed counterpart of the engine's fork
-pool, and deliberately speaks the *same* callback protocol
-(``store`` / ``task_failed`` / ``attempt_number`` / ``resolved``) so
-every grid guarantee — task-order determinism, retry accounting,
-caching, journaling, audits, telemetry — is enforced by exactly one
+pool, and reports to the *same* grid object (``store`` / ``simulated`` /
+``failed`` / ``attempt`` / ``unresolved``) so every grid guarantee —
+task-order determinism, attempt accounting, backoff, caching,
+journaling, audits, telemetry — is enforced by exactly one
 implementation, in the broker's process.  Workers compute; the broker
-decides.
+detects; the grid decides.
 
 Failure matrix (every row is exercised by the chaos tests):
 
@@ -43,17 +43,19 @@ reclaimed-but-alive worker and its replacement may both simulate a
 cell), but *results* are effectively exactly-once because (a) the
 simulator is deterministic, so duplicate executions seal
 byte-identical payloads under the same content key, and (b) the
-broker routes every harvest through the engine's ``resolved`` set and
+broker routes every harvest through the grid's resolved set and
 content-keyed cache/journal, which are idempotent per key.  A
 duplicate result is therefore indistinguishable from the first —
 there is nothing it could disagree with.
 
 Resubmission stampedes: when a worker dies holding several leases (or
 many leases expire in one sweep), every reclaimed key becomes
-republishable at once.  Republish instants are spread with the retry
-policy's seeded jitter (token = task key), so the schedule is
-deterministic yet de-correlated — see
-:class:`repro.exec.fault.RetryPolicy`.
+republishable at once.  Every retried cell waits the grid's one
+backoff, ``policy.delay(attempt, token=index)``, spread by the retry
+policy's seeded jitter, so the schedule is deterministic yet
+de-correlated — see :class:`repro.exec.fault.RetryPolicy`.  The wait
+is a republish time, never a sleep: harvests, heartbeat checks and
+lease sweeps carry on meanwhile.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Set
 
 from repro.guard import retention
 from repro.guard.errors import SealError
@@ -76,29 +78,18 @@ __all__ = ["CHAOS_EXIT_CODE", "run_dist"]
 CHAOS_EXIT_CODE = 86
 
 
-def run_dist(
-    tasks: Sequence,
-    pending: List[int],
-    *,
-    options: DistOptions,
-    keys: List[Optional[str]],
-    version: str,
-    store: Callable,
-    task_failed: Callable,
-    attempt_number: Callable,
-    resolved: Set[int],
-    obs,
-    policy,
-) -> List[int]:
+def run_dist(grid, pending: List[int], options: DistOptions) -> List[int]:
     """Drive ``pending`` cells through the spool; returns leftovers.
 
     The return value is empty on a completed distributed run; when
     the broker degrades (no worker attached within the grace) it is
-    the still-unresolved indices, which ``run_grid`` finishes locally.
-    Invoked only through ``run_grid(dist=...)`` — the argument
-    protocol is the engine's internal callback set.
+    the still-unresolved indices — cells waiting out a backoff
+    included — which ``run_grid`` finishes locally.  Invoked only
+    through ``run_grid(dist=...)``; ``grid`` is the engine's private
+    grid object.
     """
-    spool = Spool(options.spool, version=version)
+    obs = grid.obs
+    spool = Spool(options.spool, version=grid.version)
     spool.ensure()
     spool.clear_drain()
     spool.write_manifest(n_tasks=len(pending))
@@ -107,7 +98,7 @@ def run_dist(
     #: into one ticket; every index is stored on harvest).
     by_key: Dict[str, List[int]] = {}
     for i in pending:
-        by_key.setdefault(keys[i], []).append(i)
+        by_key.setdefault(grid.key(i), []).append(i)
     primary = {key: indices[0] for key, indices in by_key.items()}
 
     start = time.monotonic()
@@ -132,10 +123,7 @@ def run_dist(
     obs.gauge("queue.depth", 0)
 
     def _unsettled(key: str) -> bool:
-        return any(i not in resolved for i in by_key[key])
-
-    def _leftover() -> List[int]:
-        return [i for i in pending if i not in resolved]
+        return bool(grid.unresolved(by_key[key]))
 
     def _lane(worker: str) -> int:
         if worker and worker not in lanes:
@@ -148,8 +136,16 @@ def run_dist(
 
     def _publish(key: str) -> None:
         i = primary[key]
-        spool.publish_task(key, i, attempt_number(i), tasks[i])
+        spool.publish_task(key, i, grid.attempt(i), grid.tasks[i])
         obs.count("dist.published")
+
+    def _failed(key: str, kind: str, error_type: str,
+                message: str) -> None:
+        """Report one failed attempt; a retry republishes after the
+        grid's backoff."""
+        delay = grid.failed(primary[key], kind, error_type, message)
+        if delay is not None:
+            republish_at[key] = time.monotonic() + delay
 
     def _reclaim(key: str, kind: str, why: str) -> None:
         """Take a leased key back and account one failed attempt."""
@@ -159,11 +155,7 @@ def run_dist(
                    else "dist.reclaimed.heartbeat")
         obs.count(counter)
         obs.event("lease-reclaim", "dist", index=i, reason=why)
-        if task_failed(i, kind, "",
-                       f"lease on task {i} reclaimed ({why})"):
-            republish_at[key] = time.monotonic() + policy.delay(
-                max(1, attempt_number(i)), token=key
-            )
+        _failed(key, kind, "", f"lease on task {i} reclaimed ({why})")
 
     def _harvest() -> None:
         nonlocal harvested
@@ -188,13 +180,12 @@ def run_dist(
                 spool.unpublish(key)
                 spool.release(key)
                 obs.count("dist.results")
-                obs.count("tasks.simulated")
                 obs.event("dist-result", "dist", track=lane,
                           index=primary[key], outcome="ok")
-                stats = record["stats"]
-                for i in by_key[key]:
-                    if i not in resolved:
-                        store(i, stats)
+                first, *rest = grid.unresolved(by_key[key])
+                grid.simulated(first, record["stats"])
+                for i in rest:
+                    grid.store(i, record["stats"])
                 harvested += 1
                 if options.chaos_exit_after is not None \
                         and harvested >= options.chaos_exit_after:
@@ -208,12 +199,8 @@ def run_dist(
                 obs.event("dist-result", "dist", track=lane,
                           index=primary[key], outcome="error",
                           error=record.get("error_type", ""))
-                i = primary[key]
-                if task_failed(i, "error",
-                               str(record.get("error_type", "")),
-                               str(record.get("message", ""))):
-                    # task_failed already applied the retry pause.
-                    republish_at[key] = time.monotonic()
+                _failed(key, "error", str(record.get("error_type", "")),
+                        str(record.get("message", "")))
 
     try:
         # A restarted broker adopts before it publishes: results that
@@ -229,9 +216,9 @@ def run_dist(
             else:
                 _publish(key)
 
-        while _leftover():
+        while grid.unresolved(pending):
             _harvest()
-            if not _leftover():
+            if not grid.unresolved(pending):
                 break
             now = time.monotonic()
 
@@ -329,4 +316,4 @@ def run_dist(
             obs.count("spool.gc.results", report.spool_results_removed)
         obs.finish(dist_span, harvested=harvested,
                    degraded=degraded, workers=len(lanes))
-    return _leftover() if degraded else []
+    return grid.unresolved(pending) if degraded else []

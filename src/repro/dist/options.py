@@ -23,11 +23,6 @@ class DistOptions:
     ----------
     spool:
         The shared spool directory (created if absent).
-    lease_ttl:
-        Informational only on the broker side — workers write their
-        own TTL into each lease; the broker enforces whatever
-        deadline the lease carries.  Kept here so one options object
-        can describe a whole deployment.
     heartbeat_grace:
         Seconds without a fresh beat before a worker is presumed dead
         and its leases are reclaimed.  Must comfortably exceed the
@@ -54,7 +49,6 @@ class DistOptions:
     """
 
     spool: Path
-    lease_ttl: float = 15.0
     heartbeat_grace: float = 2.5
     attach_grace: float = 10.0
     poll: float = 0.05
@@ -63,8 +57,7 @@ class DistOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "spool", Path(self.spool))
-        for name in ("lease_ttl", "heartbeat_grace", "attach_grace",
-                     "poll"):
+        for name in ("heartbeat_grace", "attach_grace", "poll"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.spool_budget_results is not None \

@@ -27,7 +27,10 @@ Guarantees:
   the returned :class:`~repro.exec.fault.GridResult` holds ``None``
   for the failed cells and a
   :class:`~repro.exec.fault.FailureRecord` for each in
-  ``.failures``.
+  ``.failures``.  The in-process loop, the fork pool and the
+  distributed broker only detect outcomes; one grid object (``_Grid``)
+  owns attempts, backoff and give-up, so a cell fails alike whichever
+  transport ran it.
 * **Durability** — ``journal=`` appends every completed cell to an
   append-only :class:`~repro.exec.journal.Journal`; an interrupted
   grid resumes from its completed cells even with no result cache
@@ -55,8 +58,8 @@ Guarantees:
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
 import time
 import warnings
 from collections import deque
@@ -188,7 +191,7 @@ _POLL_SECONDS = 0.05
 _MAX_RESUBMITS = 2
 
 
-def _worker_main(tasks, inbox, results, worker_id) -> None:
+def _worker_main(tasks, inbox, outbox) -> None:
     """Pool worker loop: one task at a time, results keyed by index.
 
     Any exception — including an injected one — is reported as a
@@ -205,27 +208,32 @@ def _worker_main(tasks, inbox, results, worker_id) -> None:
         index, attempt = message
         try:
             stats = _execute_cell(tasks[index], index, attempt)
-            payload = (worker_id, index, True, stats)
+            payload = (index, True, stats)
         except BaseException as exc:  # repro: noqa[REP007] -- worker must report every failure (incl. injected interrupts) to the supervisor, which re-applies interrupt semantics
-            payload = (worker_id, index, False,
-                       (type(exc).__name__, str(exc)))
+            payload = (index, False, (type(exc).__name__, str(exc)))
         try:
-            results.put(payload)
+            outbox.send(payload)
         except Exception:  # pragma: no cover - broken result pipe
             os._exit(1)  # repro: noqa[REP204] -- result pipe is gone; nothing a dying worker can report survives cleanup
 
 
 class _Worker:
-    """One supervised worker process and its dispatch state."""
+    """One supervised worker process and its dispatch state.
 
-    def __init__(self, context, tasks, results, worker_id: int):
+    Each worker reports on a pipe of its own, written synchronously:
+    a worker that dies mid-report (a kill fault, OOM) cannot wedge a
+    channel its siblings share.
+    """
+
+    def __init__(self, context, tasks):
         self.inbox = context.SimpleQueue()
+        self.results, outbox = context.Pipe(duplex=False)
         self.process = context.Process(
-            target=_worker_main,
-            args=(tasks, self.inbox, results, worker_id),
+            target=_worker_main, args=(tasks, self.inbox, outbox),
             daemon=True,
         )
         self.process.start()
+        outbox.close()  # the child's end: EOF here once it exits
         #: (index, deadline) of the in-flight task, or None when idle.
         self.current: Optional[Tuple[int, Optional[float]]] = None
 
@@ -249,10 +257,7 @@ class _Worker:
         if self.process.is_alive():  # pragma: no cover - stubborn child
             self.process.kill()
             self.process.join(timeout=1.0)
-
-
-class _PoolUnhealthy(Exception):
-    """Internal: too many worker deaths; degrade to in-process."""
+        self.results.close()
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +377,152 @@ class _Observer:
 
 
 # ---------------------------------------------------------------------------
+# The grid: one ledger, one completion path, one attempt rule
+# ---------------------------------------------------------------------------
+
+class _Grid:
+    """One :func:`run_grid` call's state and the one rule every
+    transport obeys.  Transports only *detect* outcomes and report
+    them here: :meth:`store` is the one completion path,
+    :meth:`failed` the one attempt-accounting rule.  The grid never
+    sleeps; a retry's backoff is returned for the transport to wait.
+    """
+
+    def __init__(self, tasks: List[SimTask], *, cache, journal,
+                 version: str, retry: Optional[RetryPolicy],
+                 on_error: str, obs: _Observer):
+        self.tasks = tasks
+        self.cache = cache
+        self.journal = journal
+        self.version = version
+        #: ``on_error="raise"`` without a policy: the serial transport
+        #: re-raises a cell's original exception.
+        self.fail_fast = on_error == "raise" and retry is None
+        if retry is None:
+            retry = NO_RETRY_POLICY if on_error == "raise" \
+                else DEFAULT_RETRY_POLICY
+        self.policy = retry
+        self.skip = on_error == "skip"
+        self.obs = obs
+        self.results: List[Optional[CoreStats]] = [None] * len(tasks)
+        self.failures: List[FailureRecord] = []
+        self.keys: List[Optional[str]] = [None] * len(tasks)
+        self.resolved: Set[int] = set()
+        self.done = 0
+        #: index -> (restored stats, source) for cells the audit
+        #: selected; the re-executed result is compared in ``store``.
+        self.audit_expect: Dict[int, Tuple[CoreStats, str]] = {}
+        self._errors: Dict[int, int] = {}
+        self._deaths: Dict[int, int] = {}
+
+    def key(self, i: int) -> str:
+        """Cell ``i``'s content key, computed on first use."""
+        if self.keys[i] is None:
+            self.keys[i] = task_key(self.tasks[i], version=self.version)
+        return self.keys[i]
+
+    def attempt(self, i: int) -> int:
+        """Attempts of cell ``i`` spent so far (errors, timeouts and
+        worker deaths alike) — the number of its next attempt."""
+        return self._errors.get(i, 0) + self._deaths.get(i, 0)
+
+    def unresolved(self, indices: Iterable[int]) -> List[int]:
+        """``indices`` without the cells already stored or given up."""
+        return [i for i in indices if i not in self.resolved]
+
+    def _advance(self) -> None:
+        self.done += 1
+        self.obs.progress(self.done, len(self.tasks))
+
+    def store(self, i: int, stats: CoreStats) -> None:
+        """A completed cell: audit, result list, cache, journal,
+        counters, progress."""
+        obs = self.obs
+        expected = self.audit_expect.pop(i, None)
+        if expected is not None:
+            restored, source = expected
+            try:
+                verify_restored(self.keys[i], i, source, restored, stats)
+            except AuditMismatch:
+                obs.count("audit.violations")
+                obs.event("audit-violation", "guard", index=i,
+                          source=source)
+                raise
+            obs.count("audit.passed")
+            obs.event("audit-passed", "guard", index=i, source=source)
+        self.results[i] = stats
+        self.resolved.add(i)
+        cache = self.cache
+        if cache is not None and cache.put_failures == 0:
+            try:
+                cache.put(self.keys[i], stats)
+            except Exception as exc:
+                # The counter doubles as the "writes are down" switch:
+                # one failure stops further attempts on this cache.
+                cache.put_failures += 1
+                warnings.warn(
+                    "result cache writes failing "
+                    f"({type(exc).__name__}: {exc}); continuing without "
+                    "persisting results",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        if self.journal is not None:
+            self.journal.record(self.keys[i], stats)
+        obs.count("tasks.completed")
+        obs.sim_stats(stats)
+        self._advance()
+
+    def simulated(self, i: int, stats: CoreStats,
+                  started: Optional[float] = None) -> None:
+        """A fresh result; ``started`` (monotonic) times the run."""
+        if started is not None:
+            self.obs.observe("task.seconds", time.monotonic() - started)
+        self.obs.count("tasks.simulated")
+        self.store(i, stats)
+
+    def failed(self, i: int, kind: str, error_type: str,
+               message: str) -> Optional[float]:
+        """Account one failed attempt of cell ``i``: the backoff in
+        seconds before it may run again, or ``None`` once it is given
+        up under ``"skip"`` (``"raise"``/``"retry"`` raise
+        :class:`~repro.exec.fault.GridError`).  A worker death spends
+        one of ``_MAX_RESUBMITS``, not a policy attempt."""
+        obs = self.obs
+        if kind == "timeout":
+            obs.count("tasks.timeouts")
+        if kind == "worker-died":
+            self._deaths[i] = self._deaths.get(i, 0) + 1
+            retry = self._deaths[i] <= _MAX_RESUBMITS
+            if retry:
+                obs.count("tasks.resubmitted")
+                obs.event("resubmit", "fault", index=i,
+                          attempt=self.attempt(i))
+        else:
+            self._errors[i] = self._errors.get(i, 0) + 1
+            retry = self._errors[i] < self.policy.max_attempts
+            if retry:
+                obs.count("tasks.retried")
+                obs.event("retry", "fault", index=i, kind=kind,
+                          attempt=self.attempt(i))
+        if retry:
+            return self.policy.delay(self.attempt(i), token=i)
+        record = FailureRecord(
+            index=i, kind=kind, error_type=error_type,
+            message=message, attempts=self.attempt(i),
+        )
+        obs.count("tasks.failed")
+        obs.event("task-failed", "fault", index=i, kind=kind,
+                  error=error_type)
+        if not self.skip:
+            raise GridError(record)
+        self.failures.append(record)
+        self.resolved.add(i)
+        self._advance()
+        return None
+
+
+# ---------------------------------------------------------------------------
 # run_grid
 # ---------------------------------------------------------------------------
 
@@ -382,7 +533,6 @@ def run_grid(
     cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     version: str = SIMULATOR_VERSION,
-    chunk_size: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
     on_error: str = "raise",
@@ -416,17 +566,18 @@ def run_grid(
     version:
         Simulator version tag mixed into cache keys; defaults to
         :data:`~repro.cpu.SIMULATOR_VERSION`.
-    chunk_size:
-        Accepted for backward compatibility and ignored: the
-        supervised pool dispatches tasks singly so that per-task
-        deadlines and dead-worker resubmission stay exact.
     retry:
         :class:`RetryPolicy` for failing cells.  ``None`` selects no
         retries under ``on_error="raise"`` and the default policy (3
-        attempts, no backoff) under ``"retry"``/``"skip"``.
+        attempts, no backoff) under ``"retry"``/``"skip"``.  Every
+        retried attempt of cell ``i`` waits
+        ``retry.delay(attempt, token=i)``: in-process through
+        ``retry.sleep``, on the pool and distributed paths as a ready
+        time that never blocks dispatch.
     timeout:
         Per-task wall-clock budget in seconds, enforced on the pool
-        path (an in-process task cannot be preempted): a task over
+        path (an in-process task cannot be preempted; a distributed
+        task runs under its worker's lease TTL instead): a task over
         budget has its worker killed and counts as one failed attempt
         of kind ``"timeout"``.
     on_error:
@@ -472,13 +623,13 @@ def run_grid(
         selecting the distributed execution path: pending cells are
         published as sealed tickets into the shared spool, claimed by
         independent ``repro worker`` processes under atomic-rename
-        leases, and harvested back through the same ``_store`` /
-        retry machinery as every other path — so caching, journaling,
-        auditing, telemetry and failure semantics are unchanged.  When
-        no worker ever attaches the broker degrades to the local path
-        (pool or in-process per ``jobs``), and any cells left behind
-        by a degrading broker are finished locally; results stay
-        bit-identical either way.  See :mod:`repro.dist`.
+        leases, and harvested back into the same grid object as every
+        other path — so caching, journaling, auditing, telemetry and
+        failure semantics are unchanged.  When no worker ever attaches
+        the broker degrades to the local path (pool or in-process per
+        ``jobs``), and any cells left behind by a degrading broker are
+        finished locally; results stay bit-identical either way.  See
+        :mod:`repro.dist`.
     """
     tasks = list(tasks)
     total = len(tasks)
@@ -488,13 +639,6 @@ def run_grid(
         raise ValueError(
             f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
         )
-    if retry is not None:
-        policy = retry
-    elif on_error in ("retry", "skip"):
-        policy = DEFAULT_RETRY_POLICY
-    else:
-        policy = NO_RETRY_POLICY
-    fail_fast = on_error == "raise" and retry is None
     if journal is not None and not isinstance(journal, Journal):
         journal = Journal(journal)
     if max_worker_deaths is None:
@@ -502,18 +646,9 @@ def run_grid(
 
     audit_policy = coerce_policy(audit)
 
-    results: List[Optional[CoreStats]] = [None] * total
-    failures: List[FailureRecord] = []
-    keys: List[Optional[str]] = [None] * total
-    state = {"done": 0}
-    error_counts: Dict[int, int] = {}
-    death_counts: Dict[int, int] = {}
-    resolved: Set[int] = set()
-    #: index -> (restored stats, source) for cells the audit selected;
-    #: the re-executed result is compared against this in ``_store``.
-    audit_expect: Dict[int, Tuple[CoreStats, str]] = {}
-
     obs = _Observer(progress, telemetry)
+    grid = _Grid(tasks, cache=cache, journal=journal, version=version,
+                 retry=retry, on_error=on_error, obs=obs)
     cache_before = cache.counters() if cache is not None else None
     grid_span = obs.begin("grid", "grid", tasks=total, jobs=jobs)
     obs.count("grid.tasks", total)
@@ -524,206 +659,53 @@ def run_grid(
         obs.count("audit.passed", 0)
         obs.count("audit.violations", 0)
 
-    def _advance() -> None:
-        state["done"] += 1
-        obs.progress(state["done"], total)
-
-    def _store(i: int, stats: CoreStats) -> None:
-        """A completed cell: result list, cache, journal, progress."""
-        expected = audit_expect.pop(i, None)
-        if expected is not None:
-            restored, source = expected
-            try:
-                verify_restored(keys[i], i, source, restored, stats)
-            except AuditMismatch:
-                obs.count("audit.violations")
-                obs.event("audit-violation", "guard", index=i,
-                          source=source)
-                raise
-            obs.count("audit.passed")
-            obs.event("audit-passed", "guard", index=i, source=source)
-        results[i] = stats
-        resolved.add(i)
-        if cache is not None and cache.put_failures == 0:
-            try:
-                cache.put(keys[i], stats)
-            except Exception as exc:
-                # The counter doubles as the "writes are down" switch:
-                # one failure stops further attempts on this cache.
-                cache.put_failures += 1
-                warnings.warn(
-                    "result cache writes failing "
-                    f"({type(exc).__name__}: {exc}); continuing without "
-                    "persisting results",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if journal is not None:
-            journal.record(keys[i], stats)
-        obs.count("tasks.completed")
-        obs.sim_stats(stats)
-        _advance()
-
-    def _attempt_number(i: int) -> int:
-        return error_counts.get(i, 0) + death_counts.get(i, 0)
-
-    def _give_up(i: int, kind: str, error_type: str,
-                 message: str) -> None:
-        """All attempts spent: record (skip) or raise (retry/raise)."""
-        record = FailureRecord(
-            index=i, kind=kind, error_type=error_type,
-            message=message, attempts=_attempt_number(i),
-        )
-        obs.count("tasks.failed")
-        obs.event("task-failed", "fault", index=i, kind=kind,
-                  error=error_type)
-        if on_error == "skip":
-            failures.append(record)
-            resolved.add(i)
-            _advance()
-        else:
-            raise GridError(record)
-
-    def _task_failed(i: int, kind: str, error_type: str,
-                     message: str) -> bool:
-        """Register one failed attempt; True means try again."""
-        if kind == "timeout":
-            obs.count("tasks.timeouts")
-        if kind == "worker-died":
-            death_counts[i] = death_counts.get(i, 0) + 1
-            if death_counts[i] <= _MAX_RESUBMITS:
-                obs.count("tasks.resubmitted")
-                obs.event("resubmit", "fault", index=i,
-                          attempt=_attempt_number(i))
-                return True
-        else:
-            error_counts[i] = error_counts.get(i, 0) + 1
-            if error_counts[i] < policy.max_attempts:
-                obs.count("tasks.retried")
-                obs.event("retry", "fault", index=i, kind=kind,
-                          attempt=_attempt_number(i))
-                policy.pause(error_counts[i], token=i)
-                return True
-        _give_up(i, kind, error_type, message)
-        return False
-
     # -- preload: journal first (the resume source), then cache -----
     pending: List[int] = []
+    sources = [(name, store) for name, store in
+               (("journal", journal), ("cache", cache)) if store is not None]
     preload_span = obs.begin(
         "preload", "phase",
-        probing=("journal+cache" if journal is not None
-                 and cache is not None
-                 else "journal" if journal is not None
-                 else "cache" if cache is not None else "none"),
+        probing="+".join(name for name, _ in sources) or "none",
     )
-    for i, task in enumerate(tasks):
-        if cache is not None or journal is not None:
-            keys[i] = task_key(task, version=version)
-        hit = None
-        source = ""
-        if journal is not None:
-            hit = journal.get(keys[i])
+    for i in range(total):
+        hit = source = None
+        for name, store in sources:
+            hit = store.get(grid.key(i))
             if hit is not None:
-                source = "journal"
-                obs.count("tasks.restored.journal")
-                obs.event("restore", "cache", index=i,
-                          source="journal")
-        if hit is None and cache is not None:
-            hit = cache.get(keys[i])
-            if hit is not None:
-                source = "cache"
-                obs.count("tasks.restored.cache")
-                obs.event("restore", "cache", index=i, source="cache")
-        if hit is not None:
-            if audit_policy.selects(keys[i]):
-                # Keep the restored value aside and re-execute the
-                # cell on the normal path; ``_store`` compares.
-                audit_expect[i] = (hit, source)
-                obs.count("audit.selected")
-                obs.event("audit-selected", "guard", index=i,
-                          source=source)
-                pending.append(i)
-                continue
-            _store(i, hit)
-            continue
-        pending.append(i)
+                source = name
+                obs.count(f"tasks.restored.{name}")
+                obs.event("restore", "cache", index=i, source=name)
+                break
+        if hit is None:
+            pending.append(i)
+        elif audit_policy.selects(grid.keys[i]):
+            # Keep the restored value aside and re-execute the cell on
+            # the normal path; ``store`` compares.
+            grid.audit_expect[i] = (hit, source)
+            obs.count("audit.selected")
+            obs.event("audit-selected", "guard", index=i, source=source)
+            pending.append(i)
+        else:
+            grid.store(i, hit)
     obs.finish(preload_span,
                restored=total - len(pending),
-               audited=len(audit_expect),
+               audited=len(grid.audit_expect),
                pending=len(pending))
 
-    def _run_serial(indices: Iterable[int]) -> None:
-        for i in indices:
-            if i in resolved:
-                continue
-            while True:
-                attempt = _attempt_number(i)
-                span = obs.begin("run", "task", index=i,
-                                 attempt=attempt)
-                started = time.monotonic()
-                try:
-                    stats = _execute_cell(tasks[i], i, attempt)
-                except KeyboardInterrupt:
-                    # Never a task failure: completed cells are already
-                    # journaled, so the caller can resume.
-                    obs.finish(span, outcome="interrupted")
-                    raise
-                except Exception as exc:
-                    obs.finish(span, outcome="error",
-                               error=type(exc).__name__)
-                    if fail_fast:
-                        raise
-                    error_counts[i] = error_counts.get(i, 0) + 1
-                    if error_counts[i] < policy.max_attempts:
-                        obs.count("tasks.retried")
-                        obs.event("retry", "fault", index=i,
-                                  kind="error",
-                                  attempt=_attempt_number(i))
-                        policy.pause(error_counts[i], token=i)
-                        continue
-                    try:
-                        _give_up(i, "error", type(exc).__name__, str(exc))
-                    except GridError as failure:
-                        raise failure from exc
-                    break
-                else:
-                    obs.finish(span, outcome="ok")
-                    obs.observe("task.seconds",
-                                time.monotonic() - started)
-                    obs.count("tasks.simulated")
-                    _store(i, stats)
-                    break
-
+    # -- transports: dist, pool, in-process; each hands on leftovers
     try:
         if dist is not None and pending:
             # Imported lazily: the distributed runtime is optional
             # machinery and single-host grids must not pay for it.
             from repro.dist import coerce_dist_options
             from repro.dist.broker import run_dist
-            for i in pending:
-                if keys[i] is None:
-                    keys[i] = task_key(tasks[i], version=version)
-            pending = run_dist(
-                tasks, pending,
-                options=coerce_dist_options(dist),
-                keys=keys, version=version,
-                store=_store, task_failed=_task_failed,
-                attempt_number=_attempt_number, resolved=resolved,
-                obs=obs, policy=policy,
-            )
+            pending = run_dist(grid, pending, coerce_dist_options(dist))
         if jobs > 1 and len(pending) > 1 and _fork_available():
-            remaining = _run_pool(
-                tasks, pending,
-                jobs=jobs, timeout=timeout,
+            pending = _run_pool(
+                grid, pending, jobs=jobs, timeout=timeout,
                 max_worker_deaths=max_worker_deaths,
-                store=_store, task_failed=_task_failed,
-                attempt_number=_attempt_number, resolved=resolved,
-                obs=obs,
             )
-            if remaining:
-                _run_serial(remaining)
-        else:
-            _run_serial(pending)
+        _run_serial(grid, pending)
     finally:
         # Surface the cache's own counters as this grid's deltas, so
         # a registry shared across grids accumulates true totals.
@@ -731,82 +713,142 @@ def run_grid(
             for name, value in cache.counters().items():
                 obs.count(f"cache.{name}",
                           value - cache_before[name])
-        obs.finish(grid_span, completed=state["done"],
-                   failures=len(failures))
-    return GridResult(results, failures)
+        obs.finish(grid_span, completed=grid.done,
+                   failures=len(grid.failures))
+    return GridResult(grid.results, grid.failures)
+
+
+def _run_serial(grid: _Grid, pending: List[int]) -> None:
+    """Run ``pending`` in-process; the one transport that sleeps a
+    backoff (``policy.sleep``), having nothing else to do meanwhile."""
+    obs = grid.obs
+    for i in grid.unresolved(pending):
+        while True:
+            attempt = grid.attempt(i)
+            span = obs.begin("run", "task", index=i, attempt=attempt)
+            started = time.monotonic()
+            try:
+                stats = _execute_cell(grid.tasks[i], i, attempt)
+            except KeyboardInterrupt:
+                # Never a task failure: completed cells are already
+                # journaled, so the caller can resume.
+                obs.finish(span, outcome="interrupted")
+                raise
+            except Exception as exc:
+                obs.finish(span, outcome="error",
+                           error=type(exc).__name__)
+                if grid.fail_fast:
+                    raise
+                try:
+                    delay = grid.failed(i, "error", type(exc).__name__,
+                                        str(exc))
+                except GridError as failure:
+                    raise failure from exc
+                if delay is None:
+                    break
+                if delay > 0:
+                    grid.policy.sleep(delay)
+            else:
+                obs.finish(span, outcome="ok")
+                grid.simulated(i, stats, started)
+                break
 
 
 def _run_pool(
-    tasks: List[SimTask],
+    grid: _Grid,
     pending: List[int],
     *,
     jobs: int,
     timeout: Optional[float],
     max_worker_deaths: int,
-    store: Callable[[int, CoreStats], None],
-    task_failed: Callable[[int, str, str, str], bool],
-    attempt_number: Callable[[int], int],
-    resolved: Set[int],
-    obs: _Observer,
 ) -> List[int]:
     """Supervise a fork pool over ``pending``; returns leftovers.
 
     The return value is normally empty; when the pool is declared
     unhealthy (too many unexpected worker deaths, or workers cannot be
-    spawned) it is the list of still-unfinished task indices, which
-    the caller runs in-process.
+    spawned) it is the list of still-unfinished task indices —
+    including cells still waiting out a backoff — which the caller
+    runs in-process.  A failed cell goes back on the queue once its
+    backoff has passed; the supervisor never sleeps it off, so idle
+    workers keep drawing other cells meanwhile.
 
-    Telemetry (all parent-side, via ``obs``): each pending task gets
-    an async ``queue`` span from enqueue to dispatch, then a ``run``
-    span on its worker's lane from dispatch to result; timeouts,
-    deaths and degradation become instant events.  Span identities
-    derive from (task index, attempt), so traces from identical runs
-    match structurally no matter which worker drew which task.
+    Telemetry (all parent-side, via ``grid.obs``): each pending task
+    gets an async ``queue`` span from enqueue to dispatch, then a
+    ``run`` span on its worker's lane from dispatch to result;
+    timeouts, deaths and degradation become instant events.  Span
+    identities derive from (task index, attempt), so traces from
+    identical runs match structurally no matter which worker drew
+    which task.
     """
+    obs = grid.obs
     context = multiprocessing.get_context("fork")
-    results_q = context.Queue()
     todo = deque(pending)
+    #: index -> monotonic time at which a backed-off cell is ready.
+    waiting: Dict[int, float] = {}
     workers: Dict[int, _Worker] = {}
     next_id = 0
     deaths = 0
 
     #: Open telemetry spans keyed by task index (at most one queue
-    #: wait and one in-flight run per task at any moment).
+    #: wait and one in-flight run per task at any moment); a run
+    #: span is kept with its monotonic start.
     queue_spans: Dict[int, object] = {}
-    run_spans: Dict[int, object] = {}
-    run_started: Dict[int, float] = {}
+    running: Dict[int, Tuple[object, float]] = {}
 
     def _enqueue_span(i: int) -> None:
         queue_spans[i] = obs.begin(
             "queue", "task", asynchronous=True,
-            index=i, attempt=attempt_number(i),
+            index=i, attempt=grid.attempt(i),
         )
 
     for i in todo:
         _enqueue_span(i)
 
-    def _remaining() -> List[int]:
-        left = [i for i in todo if i not in resolved]
-        for worker in workers.values():
-            if worker.current is not None:
-                i = worker.current[0]
-                if i not in resolved and i not in left:
-                    left.append(i)
-        return left
+    def _end_run(i: int, **attrs) -> Optional[float]:
+        """Close cell ``i``'s run span; returns when it started."""
+        span, started = running.pop(i, (None, None))
+        obs.finish(span, **attrs)
+        return started
 
-    def _inflight() -> int:
-        return sum(1 for w in workers.values() if w.current is not None)
+    def _failed(i: int, kind: str, error_type: str,
+                message: str) -> None:
+        """Report one failed attempt; a retry queues again once its
+        backoff has passed."""
+        if i in grid.resolved:
+            return
+        delay = grid.failed(i, kind, error_type, message)
+        if delay is None:
+            return
+        if delay > 0:
+            waiting[i] = time.monotonic() + delay
+        else:
+            todo.append(i)
+        _enqueue_span(i)
+
+    def _inflight() -> List[int]:
+        return [w.current[0] for w in workers.values()
+                if w.current is not None]
+
+    def _remaining() -> List[int]:
+        return grid.unresolved(
+            dict.fromkeys([*todo, *sorted(waiting), *_inflight()])
+        )
 
     try:
-        while (todo or _inflight()) :
+        while todo or waiting or _inflight():
+            if waiting:
+                now = time.monotonic()
+                for i in sorted(i for i, at in waiting.items()
+                                if at <= now):
+                    del waiting[i]
+                    todo.append(i)
+
             # Keep the pool sized to the work left; replace dead
             # workers here too (spawn failure => degrade).
-            want = min(jobs, len(todo) + _inflight())
+            want = min(jobs, len(todo) + len(_inflight()))
             while len(workers) < want:
                 try:
-                    workers[next_id] = _Worker(
-                        context, tasks, results_q, next_id
-                    )
+                    workers[next_id] = _Worker(context, grid.tasks)
                 except OSError as exc:
                     warnings.warn(
                         f"cannot spawn simulation worker ({exc}); "
@@ -816,7 +858,7 @@ def _run_pool(
                     obs.count("pool.degraded")
                     obs.event("pool-degraded", "fault",
                               reason="spawn-failure")
-                    raise _PoolUnhealthy from exc
+                    return _remaining()
                 obs.count("workers.spawned")
                 next_id += 1
 
@@ -824,53 +866,46 @@ def _run_pool(
             for wid, worker in workers.items():
                 if worker.current is None and todo:
                     i = todo.popleft()
-                    if i in resolved:
+                    if i in grid.resolved:
                         obs.finish(queue_spans.pop(i, None),
                                    outcome="superseded")
                         continue
-                    attempt = attempt_number(i)
+                    attempt = grid.attempt(i)
                     worker.dispatch(i, attempt, timeout)
                     obs.finish(queue_spans.pop(i, None),
                                outcome="dispatched")
-                    run_spans[i] = obs.begin(
+                    running[i] = (obs.begin(
                         "run", "task", track=wid + 1,
                         index=i, attempt=attempt,
-                    )
-                    run_started[i] = time.monotonic()
+                    ), time.monotonic())
                     obs.gauge("queue.depth", len(todo))
-            if not todo and not _inflight():
+            if not todo and not waiting and not _inflight():
                 break
 
-            # Wait briefly for a result, then run health checks.
-            try:
-                wid, i, ok, payload = results_q.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue_module.Empty:
-                pass
-            else:
-                worker = workers.get(wid)
-                if worker is not None and worker.current is not None \
-                        and worker.current[0] == i:
-                    worker.current = None
-                if i not in resolved:
-                    if ok:
-                        obs.finish(run_spans.pop(i, None),
-                                   outcome="ok")
-                        started = run_started.pop(i, None)
-                        if started is not None:
-                            obs.observe("task.seconds",
-                                        time.monotonic() - started)
-                        obs.count("tasks.simulated")
-                        store(i, payload)
-                    else:
-                        error_type, message = payload
-                        obs.finish(run_spans.pop(i, None),
-                                   outcome="error", error=error_type)
-                        run_started.pop(i, None)
-                        if task_failed(i, "error", error_type, message):
-                            todo.append(i)
-                            _enqueue_span(i)
+            # Wait briefly for results, then run health checks.
+            ready = multiprocessing.connection.wait(
+                [w.results for w in workers.values()],
+                timeout=_POLL_SECONDS,
+            )
+            reported = False
+            for worker in list(workers.values()):
+                if worker.results not in ready:
+                    continue
+                try:
+                    i, ok, payload = worker.results.recv()
+                except EOFError:
+                    continue  # it exited; the health check sees that
+                reported = True
+                worker.current = None
+                if i in grid.resolved:
+                    continue
+                if ok:
+                    grid.simulated(i, payload, _end_run(i, outcome="ok"))
+                else:
+                    error_type, message = payload
+                    _end_run(i, outcome="error", error=error_type)
+                    _failed(i, "error", error_type, message)
+            if reported:
                 continue
 
             now = time.monotonic()
@@ -884,15 +919,10 @@ def _run_pool(
                         worker.process.kill()
                         worker.process.join(timeout=1.0)
                         del workers[wid]
-                        obs.finish(run_spans.pop(i, None),
-                                   outcome="timeout")
-                        run_started.pop(i, None)
-                        if i not in resolved and task_failed(
-                            i, "timeout", "",
-                            f"exceeded {timeout:.3g}s wall-clock budget",
-                        ):
-                            todo.append(i)
-                            _enqueue_span(i)
+                        _end_run(i, outcome="timeout")
+                        _failed(i, "timeout", "",
+                                f"exceeded {timeout:.3g}s wall-clock "
+                                "budget")
                         continue
                 if not worker.process.is_alive():
                     # Unexpected death (kill fault, OOM, segfault).
@@ -905,16 +935,10 @@ def _run_pool(
                     if current is not None:
                         i = current[0]
                         code = worker.process.exitcode
-                        obs.finish(run_spans.pop(i, None),
-                                   outcome="worker-died")
-                        run_started.pop(i, None)
-                        if i not in resolved and task_failed(
-                            i, "worker-died",
-                            "", f"worker exited with code {code} "
-                                f"while running task {i}",
-                        ):
-                            todo.append(i)
-                            _enqueue_span(i)
+                        _end_run(i, outcome="worker-died")
+                        _failed(i, "worker-died", "",
+                                f"worker exited with code {code} "
+                                f"while running task {i}")
                     if deaths > max_worker_deaths:
                         warnings.warn(
                             f"worker pool unhealthy ({deaths} worker "
@@ -925,17 +949,14 @@ def _run_pool(
                         obs.count("pool.degraded")
                         obs.event("pool-degraded", "fault",
                                   deaths=deaths)
-                        raise _PoolUnhealthy
-    except _PoolUnhealthy:
-        return _remaining()
+                        return _remaining()
     finally:
         # Close any spans left open by degradation or interruption;
         # a healthy pool has already popped every entry.
         for span in queue_spans.values():
             obs.finish(span, outcome="abandoned")
-        for span in run_spans.values():
+        for span, _ in running.values():
             obs.finish(span, outcome="abandoned")
         for worker in workers.values():
             worker.stop()
-        results_q.close()
     return []

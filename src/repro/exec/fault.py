@@ -77,8 +77,10 @@ class RetryPolicy:
         Seed of the jitter hash; two policies with different seeds
         spread the same tokens differently.
     sleep:
-        The function that actually waits; injectable so tests and
-        deterministic replays can record delays instead of sleeping.
+        The function that actually waits, called only by the
+        in-process path (the pool and the distributed broker hold a
+        backed-off cell until a ready time instead); injectable so
+        tests and deterministic replays can record delays.
     """
 
     max_attempts: int = 3
@@ -129,12 +131,6 @@ class RetryPolicy:
         if self.jitter > 0:
             raw *= 1.0 - self.jitter * self.jitter_unit(failures, token)
         return raw
-
-    def pause(self, failures: int, token=None) -> None:
-        """Sleep the backoff delay for the ``failures``-th failure."""
-        delay = self.delay(failures, token)
-        if delay > 0:
-            self.sleep(delay)
 
 
 #: The policy used when a caller asks for retries without configuring

@@ -87,8 +87,7 @@ class TestOptions:
         assert coerce_dist_options(options) is options
 
     def test_nonpositive_knobs_rejected(self, tmp_path):
-        for name in ("lease_ttl", "heartbeat_grace", "attach_grace",
-                     "poll"):
+        for name in ("heartbeat_grace", "attach_grace", "poll"):
             with pytest.raises(ValueError, match=name):
                 DistOptions(spool=tmp_path, **{name: 0.0})
 
@@ -201,3 +200,4 @@ class TestExperimentIntegration:
             thread.join(timeout=30.0)
         assert distributed.responses == local.responses
         assert distributed.ranks() == local.ranks()
+

@@ -6,15 +6,22 @@ here with the deterministic injector from
 permanent errors skipped with structured records, workers killed
 mid-grid and their tasks resubmitted, hung tasks timed out, an
 unhealthy pool degrading to in-process execution — all with results
-bit-identical to a fault-free serial run.
+bit-identical to a fault-free serial run.  The in-process loop, the
+pool and the distributed broker (worker threads over a spool) share
+one attempt and backoff rule, checked side by side.
 """
 
 import multiprocessing
+import threading
+import time
 
 import pytest
 
 from repro.core import PBExperiment
-from repro.cpu import MachineConfig
+from repro.cpu import MachineConfig, SIMULATOR_VERSION
+from repro.dist import DistOptions
+from repro.dist.spool import Spool
+from repro.dist.worker import DistWorker
 from repro.exec import (
     GridError,
     GridResult,
@@ -22,9 +29,11 @@ from repro.exec import (
     RetryPolicy,
     grid_tasks,
     run_grid,
+    task_key,
 )
 from repro.guard import Fault, FaultInjector, InjectedFault, faults
 from repro.guard.faults import ALWAYS
+from repro.obs import EventWriter, Telemetry, scan_stream, trace_from_streams
 from repro.workloads import benchmark_trace
 
 SUBSET = [
@@ -68,6 +77,19 @@ def cycles(grid):
     return [s.cycles if s is not None else None for s in grid]
 
 
+def dist_grid(tmp_path, workers=2, **worker_kwargs):
+    """Broker options plus worker threads attached to its spool."""
+    options = DistOptions(spool=tmp_path / "spool", poll=0.01,
+                          heartbeat_grace=1.0, attach_grace=30.0)
+    threads = []
+    for n in range(workers):
+        worker = DistWorker(options.spool, worker_id=f"w{n}", poll=0.01,
+                            heartbeat_interval=0.05, **worker_kwargs)
+        threads.append(threading.Thread(target=worker.run, daemon=True))
+        threads[-1].start()
+    return options, threads
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -83,20 +105,22 @@ class TestRetryPolicy:
         assert [policy.delay(n) for n in range(1, 5)] == \
             [1.0, 2.0, 3.0, 3.0]
 
-    def test_zero_backoff_never_sleeps(self):
+    def test_zero_backoff_never_sleeps(self, tasks):
+        # The retry pause lives in the in-process transport, the only
+        # caller of ``policy.sleep``.
         slept = []
         policy = RetryPolicy(max_attempts=3, sleep=slept.append)
-        policy.pause(1)
-        policy.pause(2)
+        with faults.injected(FaultInjector([Fault("raise", 0, 2)])):
+            run_grid(tasks[:1], on_error="retry", retry=policy)
         assert slept == []
 
-    def test_pause_uses_injected_sleep(self):
+    def test_pause_uses_injected_sleep(self, tasks):
         slept = []
         policy = RetryPolicy(
             max_attempts=3, backoff=0.5, sleep=slept.append,
         )
-        policy.pause(1)
-        policy.pause(2)
+        with faults.injected(FaultInjector([Fault("raise", 0, 2)])):
+            run_grid(tasks[:1], on_error="retry", retry=policy)
         assert slept == [0.5, 1.0]
 
     def test_jitter_fraction_validated(self):
@@ -362,6 +386,30 @@ class TestPoolFaults:
         expected = [c if i != 4 else None for i, c in enumerate(clean)]
         assert cycles(grid) == expected
 
+    def test_backoff_is_a_ready_time_not_a_supervisor_sleep(
+            self, tasks, clean, tmp_path):
+        # The supervisor must never block on a retry's backoff (that
+        # stalls dispatch to idle workers); the failed cell instead
+        # waits out its delay in the queue before it is dispatched.
+        slept = []
+        policy = RetryPolicy(max_attempts=3, backoff=0.25,
+                             sleep=slept.append)
+        stream = EventWriter(tmp_path / "main.events.jsonl", lane="main")
+        telemetry = Telemetry.armed(stream=stream)
+        with faults.injected(FaultInjector([Fault("raise", 1, 1)])):
+            grid = run_grid(tasks, jobs=2, on_error="retry",
+                            retry=policy, telemetry=telemetry)
+        telemetry.close()
+        assert cycles(grid) == clean
+        assert slept == []
+        trace = trace_from_streams([scan_stream(stream.path)])
+        runs = {e["args"]["attempt"]: e for e in trace["traceEvents"]
+                if e["name"] == "run" and e["args"].get("index") == 1}
+        assert runs[0]["args"]["outcome"] == "error"
+        assert runs[1]["args"]["outcome"] == "ok"
+        gap_us = runs[1]["ts"] - (runs[0]["ts"] + runs[0]["dur"])
+        assert gap_us >= 0.25e6
+
     def test_unhealthy_pool_degrades_to_in_process(self, tasks, clean):
         injector = FaultInjector([
             Fault("kill", 0), Fault("kill", 2), Fault("kill", 4),
@@ -374,6 +422,78 @@ class TestPoolFaults:
                     max_worker_deaths=1,
                 )
         assert cycles(grid) == clean
+
+
+class TestDistFaults:
+    def test_reclaim_backoff_is_a_republish_time(self, tmp_path, tasks,
+                                                 clean, monkeypatch):
+        # A lease expiry counts one attempt; the cell is republished
+        # once the grid's backoff has passed — waited out once, and
+        # never by blocking the broker in ``policy.sleep``.
+        key0 = task_key(tasks[0], version=SIMULATOR_VERSION)
+        log = []
+        publish, release = Spool.publish_task, Spool.release
+
+        def logged_publish(spool, key, index, attempt, task):
+            log.append(("publish", key, time.monotonic()))
+            publish(spool, key, index, attempt, task)
+
+        def logged_release(spool, key, worker=None):
+            if worker is None:  # the broker's releases only
+                log.append(("release", key, time.monotonic()))
+            release(spool, key, worker)
+
+        monkeypatch.setattr(Spool, "publish_task", logged_publish)
+        monkeypatch.setattr(Spool, "release", logged_release)
+        slept = []
+        policy = RetryPolicy(max_attempts=3, backoff=0.5,
+                             sleep=slept.append)
+        with faults.injected(FaultInjector(
+                [Fault("delay", 0, 1, seconds=3.0)])):
+            options, threads = dist_grid(tmp_path, lease_ttl=0.3)
+            grid = run_grid(tasks, dist=options, on_error="retry",
+                            retry=policy)
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert cycles(grid) == clean
+        assert slept == []
+        events = [(what, at) for what, key, at in log if key == key0]
+        republish = [n for n, (what, _) in enumerate(events)
+                     if what == "publish"][1]
+        reclaimed = events[republish - 1]
+        assert reclaimed[0] == "release"
+        assert 0.5 <= events[republish][1] - reclaimed[1] < 1.0
+
+
+class TestOneAttemptRule:
+    @pytest.mark.parametrize("transport", [
+        "serial", pytest.param("pool", marks=needs_fork), "dist",
+    ])
+    def test_every_transport_gives_up_alike(self, tmp_path, tasks,
+                                            clean, transport):
+        # One permanently failing cell under skip: the serial loop,
+        # the fork pool and the broker must spend the same attempts,
+        # record the same failure and count the same retries.
+        kwargs, threads = {}, []
+        if transport == "pool":
+            kwargs["jobs"] = 2
+        elif transport == "dist":
+            kwargs["dist"], threads = dist_grid(tmp_path)
+        telemetry = Telemetry.armed()
+        with faults.injected(FaultInjector([Fault("raise", 2, ALWAYS)])):
+            grid = run_grid(tasks, on_error="skip",
+                            retry=RetryPolicy(max_attempts=2),
+                            telemetry=telemetry, **kwargs)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert cycles(grid) == [c if i != 2 else None
+                                for i, c in enumerate(clean)]
+        record = grid.failure_at(2)
+        assert (record.kind, record.error_type, record.attempts) == \
+            ("error", "InjectedFault", 2)
+        counters = telemetry.snapshot()
+        assert counters["tasks.retried"]["value"] == 1
+        assert counters["tasks.failed"]["value"] == 1
 
 
 class TestCacheFaults:

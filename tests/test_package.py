@@ -67,3 +67,25 @@ class TestSurface:
                            "metrics", "profile", "stream", "telemetry"}
         assert {"EventWriter", "span_ident", "trace_from_streams",
                 "trace_json"} <= set(repro.obs.__all__)
+
+    def test_exec_has_one_scheduler(self):
+        """Every transport takes the engine's grid object and nothing
+        else of its state; the dead knobs stay gone."""
+        import dataclasses
+        import inspect
+
+        from repro.dist import DistOptions
+        from repro.dist.broker import run_dist
+        from repro.exec import RetryPolicy, engine
+
+        def params(function):
+            return list(inspect.signature(function).parameters)
+
+        assert params(engine._run_serial) == ["grid", "pending"]
+        assert params(engine._run_pool) == [
+            "grid", "pending", "jobs", "timeout", "max_worker_deaths"]
+        assert params(run_dist) == ["grid", "pending", "options"]
+        assert "chunk_size" not in params(engine.run_grid)
+        fields = {f.name for f in dataclasses.fields(DistOptions)}
+        assert "lease_ttl" not in fields
+        assert not hasattr(RetryPolicy, "pause")
