@@ -434,9 +434,12 @@ class _Grid:
         self.done += 1
         self.obs.progress(self.done, len(self.tasks))
 
-    def store(self, i: int, stats: CoreStats) -> None:
+    def store(self, i: int, stats: CoreStats,
+              source: Optional[str] = None) -> None:
         """A completed cell: audit, result list, cache, journal,
-        counters, progress."""
+        counters, progress.  ``source`` names the store a restored
+        cell came from: a cache hit is not written back, and a journal
+        hit only when the cache lacks it."""
         obs = self.obs
         expected = self.audit_expect.pop(i, None)
         if expected is not None:
@@ -453,7 +456,9 @@ class _Grid:
         self.results[i] = stats
         self.resolved.add(i)
         cache = self.cache
-        if cache is not None and cache.put_failures == 0:
+        if cache is not None and cache.put_failures == 0 \
+                and source != "cache" \
+                and (source is None or self.keys[i] not in cache):
             try:
                 cache.put(self.keys[i], stats)
             except Exception as exc:
@@ -686,7 +691,7 @@ def run_grid(
             obs.event("audit-selected", "guard", index=i, source=source)
             pending.append(i)
         else:
-            grid.store(i, hit)
+            grid.store(i, hit, source)
     obs.finish(preload_span,
                restored=total - len(pending),
                audited=len(grid.audit_expect),

@@ -57,7 +57,8 @@ _FIELDS = (
 )
 
 
-def save_trace(trace: Trace, path: Union[str, os.PathLike]) -> None:
+def save_trace(trace: Trace, path: Union[str, os.PathLike], *,
+               retries: int = 2) -> None:
     """Write a trace to a sealed, compressed ``.npz`` archive.
 
     The benchmark name and a format version travel with the arrays,
@@ -65,7 +66,8 @@ def save_trace(trace: Trace, path: Union[str, os.PathLike]) -> None:
     (:func:`repro.guard.seal.seal`) so :func:`load_trace` can validate
     both what it reads and that it read all of it.  The write is
     atomic (temp file + rename): a crash mid-save leaves either the
-    old archive or none, never a torn one.
+    old archive or none, never a torn one.  ``retries`` is the
+    publish's retry budget after a failed attempt.
     """
     arrays = {field: getattr(trace, field) for field in _FIELDS}
     buffer = io.BytesIO()
@@ -80,7 +82,7 @@ def save_trace(trace: Trace, path: Union[str, os.PathLike]) -> None:
     )
     # The sanctioned publish seam: temp name + replace, every step
     # fault-injectable, the destination never visible torn.
-    faults.publish_bytes(path, blob, retries=2)
+    faults.publish_bytes(path, blob, retries=retries)
 
 
 def _strict_validate(trace: Trace, artifact) -> None:

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cpu.isa import NO_REG, NO_VALUE, BranchKind, OpClass
+from . import store
 from .trace import Trace
 
 _POINTER_REG = 30              # dedicated pointer-chase register
@@ -143,17 +144,15 @@ class WorkloadProfile:
 class _StaticSlot:
     """One static non-branch instruction (re-executed identically)."""
 
-    __slots__ = ("op", "mode", "key", "stream_cursor", "stream_start",
-                 "hot_cursor")
+    __slots__ = ("op", "mode", "key", "stream_start", "hot_index")
 
     def __init__(self, op: int, mode: int, key: int,
-                 stream_start: int = 0, hot_cursor: int = 0):
+                 stream_start: int = 0, hot_index: int = -1):
         self.op = op
         self.mode = mode          # 0 = plain/working-set, 1 = stream, 2 = pointer
         self.key = key            # redundancy key or NO_VALUE
         self.stream_start = stream_start
-        self.stream_cursor = stream_start
-        self.hot_cursor = hot_cursor  # walking pointer within the hot heap
+        self.hot_index = hot_index  # hot-heap walker (memory slots only)
 
 
 class _Block:
@@ -173,48 +172,195 @@ class _Block:
         self.end_pc = pc
 
 
+class _Cursors:
+    """The address state one :meth:`SyntheticProgram.emit` call walks.
+
+    Every emission starts from the program's static starting state, so
+    nothing one emission advances leaks into the next.
+    """
+
+    __slots__ = ("profile", "hot", "walkers", "n_regions", "cold_count",
+                 "active_walker", "streams", "stream_bytes")
+
+    def __init__(self, profile: WorkloadProfile, hot_starts: List[int]):
+        self.profile = profile
+        #: Per memory slot: offset of its walk over the hot heap.
+        self.hot = list(hot_starts)
+        # [region, access-count] per concurrent cold walker; walkers
+        # start on contiguous regions (the hottest arenas), like real
+        # allocators laying hot structures out together.
+        self.n_regions = max(
+            1, profile.data_footprint // profile.region_bytes
+        )
+        self.walkers = [
+            [w % self.n_regions, 0]
+            for w in range(max(1, profile.n_arenas))
+        ]
+        self.cold_count = 0
+        self.active_walker = 0
+        # [start offset, bytes advanced] per shared sequential stream.
+        # Starts are spread across distinct pages (and therefore cache/
+        # TLB sets) deterministically, with a small in-page jitter.
+        self.stream_bytes = max(1, profile.stream_region // _WORD) * _WORD
+        stream_rng = np.random.default_rng(profile.seed + 7)
+        self.streams = [
+            [(((3 + 2 * k) * 4096)
+              + int(stream_rng.integers(0, 64)) * _WORD)
+             % self.stream_bytes, 0]
+            for k in range(max(1, profile.n_streams))
+        ]
+
+    def address(self, slot: _StaticSlot, draw: float) -> int:
+        """The data address of one execution of memory ``slot``."""
+        if slot.mode == 1:  # streaming: one of the program's shared streams
+            pick = (slot.stream_start + int(draw * 524287.0))
+            stream = self.streams[pick % len(self.streams)]
+            addr = _STREAM_BASE + (stream[0] + stream[1]) % self.stream_bytes
+            stream[1] += _WORD
+            return addr
+        # Working-set / pointer-chase accesses are a three-tier mixture:
+        #
+        # * stack — a tiny region with near-total reuse (L1 resident);
+        # * hot heap — per-slot sequential walks over a region sized
+        #   between the paper's low and high L1 D-cache settings, so the
+        #   L1D size/latency contrast has real traffic;
+        # * cold tail — a power-law choice of a page-sized region plus a
+        #   sequential per-slot offset within it: hot pages are revisited
+        #   (L2-capacity and D-TLB reach contrasts) while the long tail
+        #   keeps missing to DRAM (memory latency/bandwidth contrasts).
+        profile = self.profile
+        f_stack = profile.stack_fraction
+        f_hot = profile.hot_fraction
+        if draw < f_stack:
+            stack_words = max(1, profile.stack_bytes // _WORD)
+            index = int(stack_words * (draw / f_stack)) if f_stack else 0
+            return _STACK_BASE + min(index, stack_words - 1) * _WORD
+        if draw < f_stack + f_hot:
+            cursor = self.hot[slot.hot_index]
+            self.hot[slot.hot_index] = \
+                0 if cursor + _WORD >= profile.hot_bytes else cursor + _WORD
+            return _HEAP_BASE + cursor
+        rest = 1.0 - f_stack - f_hot
+        v = (draw - f_stack - f_hot) / rest if rest > 0 else 0.0
+        return self._cold_address(v)
+
+    def _cold_address(self, v: float) -> int:
+        """One access from the program's pool of cold-arena walkers.
+
+        The program keeps ``n_arenas`` concurrent walkers (live arenas);
+        each walks its region in 64-word sequential runs, then jumps to
+        a new power-law-selected region.  A small pool bounds the
+        *concurrent* page working set (TLB pressure) while the power
+        law still grades the total footprint (cache-capacity pressure).
+        """
+        profile = self.profile
+        region_bytes = profile.region_bytes
+        n_regions = self.n_regions
+        # Walkers are *sticky*: the program works on one arena for a
+        # phase of accesses before switching (real code walks one
+        # structure at a time).  Phasing keeps conflicting pages from
+        # alternating rapidly, which is what actually costs TLB misses.
+        self.cold_count += 1
+        if self.cold_count % 24 == 0:
+            self.active_walker = int(v * 7919.0) % len(self.walkers)
+        walker = self.walkers[self.active_walker]
+        # A walker visits a region for a 48-access sequential run, then
+        # usually advances to the *next* region (real data structures
+        # are contiguous page runs, which index TLB and cache sets
+        # uniformly) and occasionally reseeds to a power-law-selected
+        # region (temporal reuse of hot arenas).
+        run_words = 48
+        if walker[1] and walker[1] % run_words == 0:
+            if (walker[1] // run_words) % 6:
+                walker[0] = (walker[0] + 1) % n_regions
+            else:
+                walker[0] = min(
+                    int(n_regions * v ** profile.reuse_exponent),
+                    n_regions - 1,
+                )
+        offset = (walker[1] * _WORD) % region_bytes
+        walker[1] += 1
+        return _DATA_BASE + walker[0] * region_bytes + offset
+
+
 class SyntheticProgram:
     """The static structure generated from one profile.
 
     Building the program is separated from emitting a trace so tests
     can inspect the static structure, and so multiple trace lengths
-    share one layout.
+    share one layout.  The structure (:attr:`blocks`,
+    :attr:`main_blocks`, :attr:`function_entry`, :attr:`code_bytes`)
+    is built on first access: an :meth:`emit` served from the trace
+    store never needs it.
     """
 
     def __init__(self, profile: WorkloadProfile):
         self.profile = profile
+        self._blocks: Optional[List[_Block]] = None
+
+    @property
+    def blocks(self) -> List[_Block]:
+        self._build()
+        return self._blocks
+
+    @property
+    def main_blocks(self) -> List[_Block]:
+        self._build()
+        return self._main_blocks
+
+    @property
+    def function_entry(self) -> List[int]:
+        self._build()
+        return self._function_entry
+
+    @property
+    def code_bytes(self) -> int:
+        self._build()
+        return self._code_bytes
+
+    def _build(self) -> None:
+        if self._blocks is not None:
+            return
+        profile = self.profile
         rng = np.random.default_rng(profile.seed)
         self._rng = rng
         ops, probs = self._mix_distribution(profile)
-        self.main_blocks: List[_Block] = []
-        self.function_entry: List[int] = []
-        self.blocks: List[_Block] = []
+        # ``Generator.choice(ops, p=probs)`` unrolled: the same draws,
+        # without re-validating ``probs`` once per block.
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self._main_blocks = []
+        self._function_entry = []
+        #: Start offset of each memory slot's walk over the hot heap.
+        self._hot_starts: List[int] = []
+        blocks: List[_Block] = []
         next_pc = _CODE_BASE
         # Main program blocks.
         for i in range(profile.n_blocks):
-            block, next_pc = self._make_block(next_pc, ops, probs)
-            self.main_blocks.append(block)
-            self.blocks.append(block)
+            block, next_pc = self._make_block(next_pc, ops, cdf)
+            self._main_blocks.append(block)
+            blocks.append(block)
         self._wire_main_control_flow()
         # Functions: linear chains ending in a return.
         for f in range(profile.n_functions):
-            entry = len(self.blocks)
-            self.function_entry.append(entry)
+            entry = len(blocks)
+            self._function_entry.append(entry)
             for j in range(profile.function_blocks):
-                block, next_pc = self._make_block(next_pc, ops, probs)
+                block, next_pc = self._make_block(next_pc, ops, cdf)
                 last = j == profile.function_blocks - 1
                 if last:
                     block.kind = int(BranchKind.RETURN)
                 else:
                     # Fall through (or occasionally call deeper).
                     block.kind = int(BranchKind.CONDITIONAL)
-                    block.dominant = len(self.blocks) + 1
+                    block.dominant = len(blocks) + 1
                     block.bias = 1.0
                     block.others = []
                     if rng.random() < profile.nested_call_fraction:
                         block.kind = int(BranchKind.CALL)
-                self.blocks.append(block)
-        self.code_bytes = next_pc - _CODE_BASE
+                blocks.append(block)
+        self._code_bytes = next_pc - _CODE_BASE
+        self._blocks = blocks
 
     # -- construction helpers -------------------------------------------------
 
@@ -226,12 +372,12 @@ class SyntheticProgram:
         probs = probs / probs.sum()
         return ops, probs
 
-    def _make_block(self, pc: int, ops, probs) -> Tuple[_Block, int]:
+    def _make_block(self, pc: int, ops, cdf) -> Tuple[_Block, int]:
         profile = self.profile
         rng = self._rng
         block = _Block(pc)
         body_len = max(1, int(rng.poisson(profile.block_len_mean - 1)))
-        slot_ops = rng.choice(ops, size=body_len, p=probs)
+        slot_ops = ops[cdf.searchsorted(rng.random(body_len), side="right")]
         for op in slot_ops:
             block.slots.append(self._make_slot(int(op)))
         block.end_pc = pc + 4 * body_len     # the branch's own pc
@@ -243,12 +389,13 @@ class SyntheticProgram:
         mode = 0
         key = NO_VALUE
         stream_start = 0
-        hot_cursor = 0
+        hot_index = -1
         if op == int(OpClass.LOAD) or op == int(OpClass.STORE):
             u = rng.random()
-            hot_cursor = int(
+            hot_index = len(self._hot_starts)
+            self._hot_starts.append(int(
                 rng.integers(0, max(1, profile.hot_bytes // _WORD))
-            ) * _WORD
+            ) * _WORD)
             if u < profile.streaming_fraction:
                 mode = 1
                 stream_start = int(rng.integers(0, 1 << 16))  # pool index
@@ -261,13 +408,13 @@ class SyntheticProgram:
             key = int(profile.n_redundant_keys *
                       u ** profile.redundancy_exponent)
             key = min(key, profile.n_redundant_keys - 1)
-        return _StaticSlot(op, mode, key, stream_start, hot_cursor)
+        return _StaticSlot(op, mode, key, stream_start, hot_index)
 
     def _wire_main_control_flow(self) -> None:
         profile = self.profile
         rng = self._rng
-        n = len(self.main_blocks)
-        for i, block in enumerate(self.main_blocks):
+        n = len(self._main_blocks)
+        for i, block in enumerate(self._main_blocks):
             if rng.random() < profile.call_fraction and profile.n_functions:
                 block.kind = int(BranchKind.CALL)
                 continue
@@ -296,13 +443,25 @@ class SyntheticProgram:
 
     def emit(self, length: int, seed: Optional[int] = None,
              name: Optional[str] = None) -> Trace:
-        """Generate a dynamic trace of exactly ``length`` instructions."""
+        """A dynamic trace of exactly ``length`` instructions.
+
+        A pure function of (profile, length, seed, name): every call
+        starts from the program's static state, so two calls with the
+        same arguments return equal traces.  A trace already in the
+        trace store (:mod:`repro.workloads.store`) is loaded instead of
+        generated; a generated one is published there.
+        """
         if length < 1:
             raise ValueError("trace length must be positive")
+        if seed is None:
+            seed = self.profile.seed * 1_000_003 + 17
+        name = name or self.profile.name
+        return store.fetch(self.profile, length, seed, name,
+                           lambda: self._generate(length, seed, name))
+
+    def _generate(self, length: int, seed: int, name: str) -> Trace:
         profile = self.profile
-        rng = np.random.default_rng(
-            profile.seed * 1_000_003 + 17 if seed is None else seed
-        )
+        rng = np.random.default_rng(seed)
         n = length
         pc = np.zeros(n, np.int64)
         op = np.zeros(n, np.uint8)
@@ -322,31 +481,9 @@ class SyntheticProgram:
         reuse_draws = rng.random(pool)
         u_i = 0
 
-        words = max(1, profile.data_footprint // _WORD)
-        stream_words = max(1, profile.stream_region // _WORD)
-        # [region, access-count] per concurrent cold walker; walkers
-        # start on contiguous regions (the hottest arenas), like real
-        # allocators laying hot structures out together.
-        n_cold_regions = max(
-            1, profile.data_footprint // profile.region_bytes
-        )
-        self._walkers = [
-            [w % n_cold_regions, 0]
-            for w in range(max(1, profile.n_arenas))
-        ]
-        self._next_walker = 0
-        self._cold_count = 0
-        self._active_walker = 0
-        # [start offset, bytes advanced] per shared sequential stream.
-        # Starts are spread across distinct pages (and therefore cache/
-        # TLB sets) deterministically, with a small in-page jitter.
-        stream_rng = np.random.default_rng(profile.seed + 7)
-        self._streams = [
-            [(((3 + 2 * k) * 4096)
-              + int(stream_rng.integers(0, 64)) * _WORD)
-             % (stream_words * _WORD), 0]
-            for k in range(max(1, profile.n_streams))
-        ]
+        blocks = self.blocks
+        function_entry = self._function_entry
+        cursors = _Cursors(profile, self._hot_starts)
         recent_int: List[int] = [1, 2, 3, 4]
         recent_fp: List[int] = [32, 33, 34, 35]
         call_stack: List[int] = []      # block ids to return to
@@ -354,7 +491,6 @@ class SyntheticProgram:
         current = 0                     # block id
         slot_index = 0
         i = 0
-        blocks = self.blocks
         is_fp = {int(OpClass.FALU), int(OpClass.FMULT),
                  int(OpClass.FDIV), int(OpClass.FSQRT)}
 
@@ -366,9 +502,7 @@ class SyntheticProgram:
                 pc[i] = block.pc + 4 * slot_index
                 op[i] = o
                 if o == int(OpClass.LOAD) or o == int(OpClass.STORE):
-                    addr = self._data_address(
-                        slot, words, stream_words, reuse_draws[u_i]
-                    )
+                    addr = cursors.address(slot, reuse_draws[u_i])
                     mem_addr[i] = addr
                     if slot.mode == 2:  # pointer chase
                         src1[i] = _POINTER_REG
@@ -409,12 +543,12 @@ class SyntheticProgram:
             branch_kind[i] = kind
             src1[i] = recent_int[-1]
             if kind == int(BranchKind.CALL):
-                callee_entry = self.function_entry[
-                    int(uniforms[u_i] * len(self.function_entry))
-                    % len(self.function_entry)
-                ] if self.function_entry else 0
+                callee_entry = function_entry[
+                    int(uniforms[u_i] * len(function_entry))
+                    % len(function_entry)
+                ] if function_entry else 0
                 if len(call_stack) >= profile.max_call_depth or \
-                        not self.function_entry:
+                        not function_entry:
                     # Too deep: degrade to a fall-through branch.
                     branch_kind[i] = int(BranchKind.CONDITIONAL)
                     taken[i] = False
@@ -454,94 +588,17 @@ class SyntheticProgram:
             slot_index = 0
             i += 1
 
-        trace = Trace(pc, op, src1, src2, dst, mem_addr, branch_kind,
-                      taken, target, redundancy_key,
-                      name=name or profile.name)
-        return trace
+        return Trace(pc, op, src1, src2, dst, mem_addr, branch_kind,
+                     taken, target, redundancy_key, name=name)
 
     def _fallthrough_of(self, block_id: int) -> int:
         nxt = block_id + 1
-        if nxt >= len(self.blocks):
+        if nxt >= len(self._blocks):
             return 0
         # Main blocks wrap within main program; function chains continue.
-        if block_id < len(self.main_blocks) <= nxt:
+        if block_id < len(self._main_blocks) <= nxt:
             return 0
         return nxt
-
-    def _data_address(self, slot: _StaticSlot, words: int,
-                      stream_words: int, draw: float) -> int:
-        if slot.mode == 1:  # streaming: one of the program's shared streams
-            pick = (slot.stream_start + int(draw * 524287.0))
-            stream = self._streams[pick % len(self._streams)]
-            addr = _STREAM_BASE + (stream[0] + stream[1]) % (
-                stream_words * _WORD
-            )
-            stream[1] += _WORD
-            return addr
-        # Working-set / pointer-chase accesses are a three-tier mixture:
-        #
-        # * stack — a tiny region with near-total reuse (L1 resident);
-        # * hot heap — per-slot sequential walks over a region sized
-        #   between the paper's low and high L1 D-cache settings, so the
-        #   L1D size/latency contrast has real traffic;
-        # * cold tail — a power-law choice of a page-sized region plus a
-        #   sequential per-slot offset within it: hot pages are revisited
-        #   (L2-capacity and D-TLB reach contrasts) while the long tail
-        #   keeps missing to DRAM (memory latency/bandwidth contrasts).
-        profile = self.profile
-        f_stack = profile.stack_fraction
-        f_hot = profile.hot_fraction
-        if draw < f_stack:
-            stack_words = max(1, profile.stack_bytes // _WORD)
-            index = int(stack_words * (draw / f_stack)) if f_stack else 0
-            return _STACK_BASE + min(index, stack_words - 1) * _WORD
-        if draw < f_stack + f_hot:
-            addr = _HEAP_BASE + slot.hot_cursor
-            slot.hot_cursor += _WORD
-            if slot.hot_cursor >= profile.hot_bytes:
-                slot.hot_cursor = 0
-            return addr
-        rest = 1.0 - f_stack - f_hot
-        v = (draw - f_stack - f_hot) / rest if rest > 0 else 0.0
-        return self._cold_address(v)
-
-    def _cold_address(self, v: float) -> int:
-        """One access from the program's pool of cold-arena walkers.
-
-        The program keeps ``n_arenas`` concurrent walkers (live arenas);
-        each walks its region in 64-word sequential runs, then jumps to
-        a new power-law-selected region.  A small pool bounds the
-        *concurrent* page working set (TLB pressure) while the power
-        law still grades the total footprint (cache-capacity pressure).
-        """
-        profile = self.profile
-        region_bytes = profile.region_bytes
-        n_regions = max(1, profile.data_footprint // region_bytes)
-        # Walkers are *sticky*: the program works on one arena for a
-        # phase of accesses before switching (real code walks one
-        # structure at a time).  Phasing keeps conflicting pages from
-        # alternating rapidly, which is what actually costs TLB misses.
-        self._cold_count += 1
-        if self._cold_count % 24 == 0:
-            self._active_walker = int(v * 7919.0) % len(self._walkers)
-        walker = self._walkers[self._active_walker]
-        # A walker visits a region for a 48-access sequential run, then
-        # usually advances to the *next* region (real data structures
-        # are contiguous page runs, which index TLB and cache sets
-        # uniformly) and occasionally reseeds to a power-law-selected
-        # region (temporal reuse of hot arenas).
-        run_words = 48
-        if walker[1] and walker[1] % run_words == 0:
-            if (walker[1] // run_words) % 6:
-                walker[0] = (walker[0] + 1) % n_regions
-            else:
-                walker[0] = min(
-                    int(n_regions * v ** profile.reuse_exponent),
-                    n_regions - 1,
-                )
-        offset = (walker[1] * _WORD) % region_bytes
-        walker[1] += 1
-        return _DATA_BASE + walker[0] * region_bytes + offset
 
     @staticmethod
     def _pick_source(recent: List[int], lookback: int) -> int:

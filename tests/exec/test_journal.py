@@ -151,6 +151,36 @@ class TestGridResume:
         run_grid(tasks, cache=cache, journal=path)
         assert len(Journal(path)) == len(tasks)
 
+    def test_rerun_puts_only_what_the_cache_lacks(
+        self, tmp_path, tasks, monkeypatch
+    ):
+        from repro.exec import ResultCache
+
+        cache_dir = tmp_path / "cache"
+        path = tmp_path / "grid.journal"
+        run_grid(tasks, cache=ResultCache(cache_dir), journal=path)
+        puts = {"n": 0}
+        real_put = ResultCache.put
+
+        def counting_put(self, key, stats):
+            puts["n"] += 1
+            return real_put(self, key, stats)
+
+        monkeypatch.setattr(ResultCache, "put", counting_put)
+        # Journal hits against a complete cache: nothing to write.
+        run_grid(tasks, cache=ResultCache(cache_dir), journal=path)
+        assert puts["n"] == 0
+        # Cache hits alone are not written back either.
+        run_grid(tasks, cache=ResultCache(cache_dir))
+        assert puts["n"] == 0
+        # Journal hits whose cache entry is gone repopulate it.
+        removed = sorted(cache_dir.glob("*.pkl"))[:2]
+        for entry in removed:
+            entry.unlink()
+        run_grid(tasks, cache=ResultCache(cache_dir), journal=path)
+        assert puts["n"] == len(removed)
+        assert all(entry.exists() for entry in removed)
+
     def test_journal_accepts_path_string(self, tmp_path, tasks):
         path = str(tmp_path / "grid.journal")
         run_grid(tasks, journal=path)

@@ -5,8 +5,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.replication import replicated_suite
 from repro.cpu import BranchKind, OpClass
-from repro.workloads import SyntheticProgram, WorkloadProfile, generate_trace
+from repro.workloads import (
+    BENCHMARK_NAMES,
+    SyntheticProgram,
+    WorkloadProfile,
+    benchmark_trace,
+    generate_trace,
+    profile,
+)
+
+
+#: ``Trace.fingerprint()`` of every canonical trace at n=2000.  These
+#: pin the generator's output byte for byte: a change to the static
+#: program, the emission loop or their random draws shows here first.
+CANONICAL_FINGERPRINTS = {
+    "gzip":
+        "c8ce7c17641532bad1d2eae3294c405d18e035d33a080fb26667e860a61f05b6",
+    "vpr-Place":
+        "a33323ad2d656e82ae540e14b249688b0f68f3181d59df9bda284a3124129fbd",
+    "vpr-Route":
+        "f3798421fd5e7e46a6a0e3e82f252d4ddb4dcd1127333a693b4bea93be8a978d",
+    "gcc":
+        "819c055ab61345aab5020edc04e06f48d47b4a0b272b506dd7acba5656493315",
+    "mesa":
+        "d70dc7aefb66db622b7f168d6f185c57ef440cf1cb7a9d123bc248933ab459ed",
+    "art":
+        "50a95c25d80906b54a8cf4a9b21447a524ac29338bd5bb7fc8538536e96e4a49",
+    "mcf":
+        "a67263c735cfd0103fedc4f8dc71f60918d91e592f8c7c5ddacc43af20a12ef9",
+    "equake":
+        "bf8bb6e9cfb65d2d500f1453c63fc9a1502d6392169acb42065b4f5eb1cb674c",
+    "ammp":
+        "c78a9f8a397a11de90e7c195780c304f4b1e08e186f1d8fb44797c06ef61e550",
+    "parser":
+        "0de5e999f88a40b8dd63c5ce6dea28c6a17fdacabf312c7ce1522ec43776f8bd",
+    "vortex":
+        "aab60c518cc4e436a97831a8f661abee43b475ceb1d222e24acd8bf1003121fe",
+    "bzip2":
+        "a5b6407afd5f85c02ae2e426e49106de7960ba6825f975e547c1139f51f11dbf",
+    "twolf":
+        "815248777cd0217fd13d1b0f61e2bacf41fd6b5483d1fd58db139226d6cc788a",
+}
+
+#: ``emit(2000, seed=12345, name="gzip")`` on the gzip program.
+EXPLICIT_SEED_FINGERPRINT = (
+    "0f1023cc94618344ae24953f3064eaf936ca52447df0f1d50efbbdbef55c43cd")
+
+#: Replicate r=0 of ``replicated_suite(["mcf"], 2000, 2)``.
+REPLICATE_0_FINGERPRINT = (
+    "06f89a6d028c6aacd98be31a37cdade793f56fef73356029d54a04f2d02c5f87")
 
 
 def small_profile(**kw):
@@ -37,6 +86,57 @@ class TestProfileValidation:
     def test_lookback_bounds(self):
         with pytest.raises(ValueError):
             small_profile(dep_lookback_p=0.0)
+
+
+@pytest.fixture
+def empty_store(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "traces"))
+
+
+@pytest.mark.usefixtures("empty_store")
+class TestPinnedBytes:
+    """The generator's output, pinned against an empty trace store so
+    every trace here is generated, not loaded."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_canonical_trace(self, name):
+        trace = SyntheticProgram(profile(name)).emit(2000, name=name)
+        assert trace.fingerprint() == CANONICAL_FINGERPRINTS[name]
+        assert benchmark_trace(name, 2000).fingerprint() \
+            == CANONICAL_FINGERPRINTS[name]
+
+    def test_explicit_seed(self):
+        trace = SyntheticProgram(profile("gzip")).emit(
+            2000, seed=12345, name="gzip")
+        assert trace.fingerprint() == EXPLICIT_SEED_FINGERPRINT
+
+    def test_first_replicate(self):
+        suite = replicated_suite(["mcf"], 2000, 2)
+        assert suite["mcf"][0].fingerprint() == REPLICATE_0_FINGERPRINT
+
+
+@pytest.mark.usefixtures("empty_store")
+class TestPurity:
+    """``emit`` is a pure function of (program, length, seed, name)."""
+
+    def test_repeated_emit_is_identical(self, tmp_path, monkeypatch):
+        program = SyntheticProgram(profile("gzip"))
+        first = program.emit(2000, seed=5)
+        # A second store: the repeat is generated again, not loaded.
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "other"))
+        again = program.emit(2000, seed=5)
+        fresh = SyntheticProgram(profile("gzip")).emit(2000, seed=5)
+        assert first.fingerprint() == again.fingerprint() \
+            == fresh.fingerprint()
+
+    def test_replicates_equal_fresh_emissions(self, tmp_path,
+                                              monkeypatch):
+        suite = replicated_suite(["mcf"], 2000, 3)
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "other"))
+        for r, trace in enumerate(suite["mcf"]):
+            fresh = SyntheticProgram(profile("mcf")).emit(
+                2000, seed=20030208 + 7919 * r, name=f"mcf#r{r}")
+            assert trace.fingerprint() == fresh.fingerprint()
 
 
 class TestDeterminism:
